@@ -6,13 +6,8 @@ descent-ascent, each running under Adam/RMSProp/Hutchinson/OASIS-style
 diagonal scalings with entrywise clipping.  Ships synthetic problem
 families with known solutions, convergence metrics, a desk-scale
 verification suite, and a benchmark CLI (``saddle-scale``).
-
-Numerical kernels compile with numba when available; set
-``SADDLE_SCALE_DISABLE_NUMBA=1`` to force the pure-numpy fallback, which
-computes bit-identical results.
 """
 
-from ._kernels import BACKEND, HAS_NUMBA
 from .errors import (
     CapabilityError,
     ConfigError,
@@ -58,7 +53,6 @@ from .precond import (
     CurvatureDiag,
     ScalingState,
     advance,
-    apply_inverse,
     beta_t,
     curvature_grad_square,
     curvature_hutchinson,
@@ -92,14 +86,14 @@ from .verify import CheckResult, check_names, run_all, run_check
 __version__ = "0.1.0"
 
 __all__ = [
-    "AVERAGING", "BACKEND", "CLIP_VARIANTS", "CapabilityError",
-    "CheckResult", "ConfigError", "ContractionReport", "CurvatureDiag",
-    "DimensionMismatchError", "DivergenceError", "FieldValue", "HAS_NUMBA",
+    "AVERAGING", "CLIP_VARIANTS", "CapabilityError", "CheckResult",
+    "ConfigError", "ContractionReport", "CurvatureDiag",
+    "DimensionMismatchError", "DivergenceError", "FieldValue",
     "InvalidParameterError", "KINDS", "METHODS", "NoUniqueSolutionError",
     "NonFiniteError", "OptimizerConfig", "OracleSample", "PRESET_NAMES",
     "PointPair", "PreconditionError", "RULES", "RunRecord", "RunStreams",
     "SCHEDULES", "SOURCES", "SaddleProblem", "SaddleScaleError",
-    "ScalingState", "Trajectory", "advance", "apply_inverse", "average_ema",
+    "ScalingState", "Trajectory", "advance", "average_ema",
     "average_uniform", "beta_t", "check_names", "check_scalar_inequality",
     "contraction_check", "curvature_grad_square", "curvature_hutchinson",
     "field", "fit_rate", "gamma_bound", "gap_restricted", "gradient",

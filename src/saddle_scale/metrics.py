@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from . import _kernels as K
 from . import problems as P
 from .errors import (
     CapabilityError,
@@ -51,7 +50,8 @@ def weighted_dist_sq(z, z_star, scaling):
     if z.d_x != z_star.d_x or z.d_y != z_star.d_y:
         raise DimensionMismatchError("z and z_star block sizes differ")
     clipped = np.concatenate([scaling.clipped_x, scaling.clipped_y])
-    return float(K.weighted_sq(clipped, z.as_vector(), z_star.as_vector()))
+    dz = z.as_vector() - z_star.as_vector()
+    return float(np.dot(clipped * dz, dz))
 
 
 def noise_floor(records, tail_frac=0.2):

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels as K
 from .errors import (
     DimensionMismatchError,
     DivergenceError,
@@ -200,12 +199,9 @@ def step_extragrad(problem, z, scaling, gamma, streams, batch=1):
         lambda: curvature_for(scaling, problem, z, g_t, s_t, streams.rademacher))
     clipped = _clipped_cat(scaling)
     z_vec = z.as_vector()
-    d = z_vec.shape[0]
-    z_half = _pair(problem, K.step_scaled(
-        z_vec, g_t.as_vector(), clipped, gamma, np.empty(d)))
+    z_half = _pair(problem, z_vec - gamma * (g_t.as_vector() / clipped))
     g_half = gradient(problem, z_half, _sample(streams, batch))
-    z_next = _pair(problem, K.step_scaled(
-        z_vec, g_half.as_vector(), clipped, gamma, np.empty(d)))
+    z_next = _pair(problem, z_vec - gamma * (g_half.as_vector() / clipped))
     return z_next, z_half, scaling
 
 
@@ -231,18 +227,16 @@ def step_single_call(problem, z, w, cache, scaling, gamma, eta, anchor_prob,
                               streams.rademacher))
     clipped = _clipped_cat(scaling)
     z_vec = z.as_vector()
-    d = z_vec.shape[0]
-    z_half = _pair(problem, K.step_scaled(
-        z_vec, cache.g_prev.as_vector(), clipped, gamma, np.empty(d)))
+    z_half = _pair(problem,
+                   z_vec - gamma * (cache.g_prev.as_vector() / clipped))
     s_half = _sample(streams, batch)
     g_half = gradient(problem, z_half, s_half)
+    g_vec = g_half.as_vector()
     if eta != 0.0:
-        z_next = _pair(problem, K.step_anchored(
-            z_vec, w.as_vector(), g_half.as_vector(), clipped, gamma, eta,
-            np.empty(d)))
+        pull = (w.as_vector() - z_vec) / clipped
+        z_next = _pair(problem, z_vec + eta * pull - gamma * (g_vec / clipped))
     else:
-        z_next = _pair(problem, K.step_scaled(
-            z_vec, g_half.as_vector(), clipped, gamma, np.empty(d)))
+        z_next = _pair(problem, z_vec - gamma * (g_vec / clipped))
     if anchor_prob >= 1.0 or streams.anchor.random() < anchor_prob:
         w_next = z
     else:
@@ -258,10 +252,8 @@ def step_sgda(problem, z, scaling, gamma, streams, batch=1):
     scaling = advance(
         scaling, streams.precond_skip,
         lambda: curvature_for(scaling, problem, z, g_t, s_t, streams.rademacher))
-    z_vec = z.as_vector()
-    z_next = _pair(problem, K.step_scaled(
-        z_vec, g_t.as_vector(), _clipped_cat(scaling), gamma,
-        np.empty(z_vec.shape[0])))
+    z_next = _pair(problem, z.as_vector()
+                   - gamma * (g_t.as_vector() / _clipped_cat(scaling)))
     return z_next, scaling
 
 
@@ -370,8 +362,8 @@ def run(problem, config, on_records=None):
         rec = RunRecord(
             t=t,
             r2_weighted=weighted_dist_sq(z_prev, problem.z_star, scaling),
-            dist2=float(K.sq_norm(diff)),
-            grad_norm2=float(K.sq_norm(gbuf)),
+            dist2=float(np.dot(diff, diff)),
+            grad_norm2=float(np.dot(gbuf, gbuf)),
             dhat_min=float(min(scaling.clipped_x.min(), scaling.clipped_y.min())),
             dhat_max=float(max(scaling.clipped_x.max(), scaling.clipped_y.max())),
             grad_calls=grad_calls,
@@ -388,7 +380,7 @@ def run(problem, config, on_records=None):
         ema_acc = hv.copy() if ema_acc is None else lam * ema_acc + (1 - lam) * hv
 
         zn = z.as_vector()
-        norm2 = K.sq_norm(zn)
+        norm2 = float(np.dot(zn, zn))
         if not np.isfinite(norm2) or norm2 > DIVERGENCE_RADIUS**2:
             emit(pending)
             raise DivergenceError(

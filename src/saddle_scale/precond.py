@@ -13,13 +13,11 @@ comes either from gradient squares or from a Rademacher diagonal estimate
 v * (Hessian @ v).
 """
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels as K
 from . import problems as P
 from .errors import (
     DimensionMismatchError,
@@ -230,10 +228,10 @@ def curvature_for(state, problem, z, g, s, rademacher_rng):
 
 
 def _clip(rule, raw, floor_e, variant):
-    out = np.empty_like(raw)
-    if rule == "squared-ema":
-        return K.clip_from_sq(raw, floor_e, variant == "add", out)
-    return K.clip_from_abs(raw, floor_e, variant == "add", out)
+    d = np.sqrt(raw) if rule == "squared-ema" else np.abs(raw)
+    if variant == "add":
+        return d + floor_e
+    return np.maximum(floor_e, d)
 
 
 def _validate_curvature(state, h):
@@ -261,8 +259,8 @@ def _apply(state, h, fire):
         else:
             bp = state.beta ** (state.t + 1)
             b = (state.beta - bp) / (1.0 - bp)
-        raw_x = K.ema_update(state.raw_x.copy(), h.hx, b)
-        raw_y = K.ema_update(state.raw_y.copy(), h.hy, b)
+        raw_x = b * state.raw_x + (1.0 - b) * h.hx
+        raw_y = b * state.raw_y + (1.0 - b) * h.hy
     else:
         raw_x, raw_y = state.raw_x, state.raw_y
     out = object.__new__(ScalingState)
@@ -307,15 +305,6 @@ def advance(state, rng_stream, curvature_fn):
     if fire:
         h = curvature_fn()
     return _apply(state, h, fire)
-
-
-def apply_inverse(state, g):
-    """Entrywise g_i / clipped_i per block; the call counter rides along."""
-    if g.gx.shape != state.clipped_x.shape or g.gy_neg.shape != state.clipped_y.shape:
-        raise DimensionMismatchError("gradient shape does not match scaling")
-    return P.FieldValue(gx=g.gx / state.clipped_x,
-                        gy_neg=g.gy_neg / state.clipped_y,
-                        calls=g.calls)
 
 
 # ---------------------------------------------------------------------------
@@ -365,36 +354,3 @@ def growth_factor(state, cap):
     update: 1 + (1 - beta_next) * C with C = growth_constant."""
     b = beta_t(state.schedule, state.beta, state.t)
     return 1.0 + (1.0 - b) * growth_constant(state, cap)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def state_to_json(state):
-    doc = {
-        "rule": state.rule, "source": state.source, "schedule": state.schedule,
-        "beta": state.beta, "floor_e": state.floor_e,
-        "update_prob": state.update_prob, "clip_variant": state.clip_variant,
-        "update_every_k": state.update_every_k, "t": state.t,
-        "last_fired": state.last_fired,
-        "raw_x": state.raw_x.tolist(), "raw_y": state.raw_y.tolist(),
-        "clipped_x": state.clipped_x.tolist(),
-        "clipped_y": state.clipped_y.tolist(),
-    }
-    return json.dumps(doc)
-
-
-def state_from_json(text):
-    doc = json.loads(text)
-    return ScalingState(
-        rule=doc["rule"], source=doc["source"], schedule=doc["schedule"],
-        beta=doc["beta"], floor_e=doc["floor_e"],
-        update_prob=doc["update_prob"], clip_variant=doc["clip_variant"],
-        update_every_k=doc["update_every_k"], t=doc["t"],
-        last_fired=doc["last_fired"],
-        raw_x=np.asarray(doc["raw_x"], dtype=np.float64),
-        raw_y=np.asarray(doc["raw_y"], dtype=np.float64),
-        clipped_x=np.asarray(doc["clipped_x"], dtype=np.float64),
-        clipped_y=np.asarray(doc["clipped_y"], dtype=np.float64),
-    )

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
-from . import _kernels as K
 from .errors import (
     CapabilityError,
     DimensionMismatchError,
@@ -90,10 +89,6 @@ class PointPair:
             cat = _freeze(np.concatenate([self.x, self.y]))
             object.__setattr__(self, "_cat", cat)
         return cat
-
-    @staticmethod
-    def from_vector(z, d_x):
-        return PointPair(z[:d_x], z[d_x:])
 
 
 @dataclass(frozen=True)
@@ -261,12 +256,20 @@ def _sample_rng(seed):
 
 def field_into(p, z_cat, out):
     """Deterministic field F(z) written into ``out``; no oracle accounting."""
+    if p.kind == "minty-example":
+        # f(x, y) = x*y + phi(x) - phi(y) with phi'(u) = u + alpha*sin(u)
+        out[0] = z_cat[1] + z_cat[0] + p.alpha * np.sin(z_cat[0])
+        out[1] = -z_cat[0] + z_cat[1] + p.alpha * np.sin(z_cat[1])
+        return out
+    dx = p.d_x
+    x = z_cat[:dx]
+    y = z_cat[dx:]
     if p.kind == "quadratic":
-        K.quad_field(p.A, p.B, p.BT, p.C, p.a, p.c, z_cat, out)
-    elif p.kind == "bilinear":
-        K.bilinear_field(p.B, p.BT, z_cat, out)
+        out[:dx] = np.dot(p.A, x) + np.dot(p.B, y) + p.a
+        out[dx:] = np.dot(p.C, y) - np.dot(p.BT, x) + p.c
     else:
-        K.minty_field(z_cat, p.alpha, out)
+        out[:dx] = np.dot(p.B, y)
+        out[dx:] = -np.dot(p.BT, x)
     return out
 
 
@@ -278,11 +281,14 @@ def hvp_into(p, z_cat, v_cat, out):
     (A v_x, C v_y)).
     """
     if p.kind == "quadratic":
-        K.quad_hvp(p.A, p.C, v_cat, out)
+        dx = p.d_x
+        out[:dx] = np.dot(p.A, v_cat[:dx])
+        out[dx:] = np.dot(p.C, v_cat[dx:])
     elif p.kind == "bilinear":
         out[:] = 0.0
     else:
-        K.minty_hvp(z_cat, p.alpha, v_cat, out)
+        out[0] = (1.0 + p.alpha * np.cos(z_cat[0])) * v_cat[0]
+        out[1] = (1.0 + p.alpha * np.cos(z_cat[1])) * v_cat[1]
     return out
 
 

@@ -88,7 +88,6 @@ def run_check(name, seed=42):
         raise InvalidParameterError(
             f"unknown check {name!r}; available: {', '.join(CHECK_ORDER)}")
     claim, fn = _CHECKS[name]
-    _warm_kernels()  # first call pays the JIT compile, outside the timing
     t0 = perf_counter()
     passed, measured, bound = fn(seed)
     return CheckResult(name=name, claim=claim, passed=bool(passed),
@@ -106,22 +105,6 @@ def run_all(only=None, seed=42):
 
 
 _RANGE_CACHE = {}
-_WARMED = False
-
-
-def _warm_kernels():
-    """Trigger JIT compilation outside any timed section."""
-    global _WARMED
-    if _WARMED:
-        return
-    problem = make_quadratic(2, 2, mu=0.5, L=2.0, seed=9, sigma=0.5)
-    for preset in ("rmsprop", "oasis"):
-        run(problem, OptimizerConfig(
-            method="extragrad", T=20, seed=0,
-            scaling=scaling_preset(preset, 2, 2), gamma=1e-6, batch=2))
-    _WARMED = True
-
-
 def _preset_runs(seed):
     """One traced run per preset on a noisy SC quadratic (total dimension
     20).  Descent-ascent drives the trajectory: the clipping audit concerns

@@ -9,7 +9,6 @@ vectors and against a Monte-Carlo 3-standard-error band.
 
 import dataclasses
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from saddle_scale.errors import (
 from saddle_scale.precond import (
     CurvatureDiag,
     ScalingState,
-    apply_inverse,
     beta_t,
     curvature_grad_square,
     curvature_hutchinson,
@@ -33,8 +31,6 @@ from saddle_scale.precond import (
     growth_factor,
     hutchinson_probe,
     scaling_preset,
-    state_from_json,
-    state_to_json,
     update,
 )
 from saddle_scale.problems import (
@@ -393,51 +389,6 @@ def test_clipping_is_idempotent_after_every_update():
 
 
 # ---------------------------------------------------------------------------
-# apply_inverse
-
-
-def test_apply_inverse_identity_scaling():
-    s = mk_state(floor_e=1.0, d_x=2, d_y=2)  # fresh -> clipped = 1
-    g = FieldValue(gx=np.array([0.3, -0.7]), gy_neg=np.array([2.0, 0.0]), calls=5)
-    out = apply_inverse(s, g)
-    np.testing.assert_array_equal(out.gx, g.gx)
-    np.testing.assert_array_equal(out.gy_neg, g.gy_neg)
-    assert out.calls == 5
-
-
-def test_apply_inverse_divides_entrywise():
-    s = mk_state(rule="additive-ema", beta=0.0, floor_e=0.01)
-    rng = np.random.default_rng(0)
-    s = update(s, CurvatureDiag(hx=np.array([2.0]), hy=np.array([2.0])), rng)
-    out = apply_inverse(s, FieldValue(gx=np.array([2.0]), gy_neg=np.array([4.0])))
-    assert out.gx[0] == 1.0 and out.gy_neg[0] == 2.0
-
-
-def test_apply_inverse_floor_saturated():
-    s = mk_state(floor_e=0.25, d_x=1, d_y=1)
-    out = apply_inverse(s, FieldValue(gx=np.array([1.0]), gy_neg=np.array([-1.0])))
-    assert out.gx[0] == 4.0 and out.gy_neg[0] == -4.0
-
-
-def test_apply_inverse_roundtrip_is_identity():
-    rng = np.random.default_rng(8)
-    s = mk_state(rule="additive-ema", beta=0.7, floor_e=0.01, d_x=5, d_y=3)
-    for _ in range(10):
-        h = CurvatureDiag(hx=rng.standard_normal(5), hy=rng.standard_normal(3))
-        s = update(s, h, rng)
-    g = FieldValue(gx=rng.standard_normal(5), gy_neg=rng.standard_normal(3))
-    inv = apply_inverse(s, g)
-    np.testing.assert_allclose(inv.gx * s.clipped_x, g.gx, rtol=1e-14)
-    np.testing.assert_allclose(inv.gy_neg * s.clipped_y, g.gy_neg, rtol=1e-14)
-
-
-def test_apply_inverse_shape_mismatch():
-    s = mk_state(d_x=2, d_y=2)
-    with pytest.raises(DimensionMismatchError):
-        apply_inverse(s, FieldValue(gx=np.ones(3), gy_neg=np.ones(2)))
-
-
-# ---------------------------------------------------------------------------
 # curvature bound Gamma and growth factors
 
 
@@ -567,24 +518,3 @@ def test_range_bound_property(beta, e, seed):
         s = update(s, h, rng)
         assert s.clipped_x.min() >= e and s.clipped_x.max() <= cap
         assert s.clipped_y.min() >= e and s.clipped_y.max() <= cap
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_state_json_roundtrip():
-    s = scaling_preset("oasis", d_x=3, d_y=2)
-    rng = np.random.default_rng(1)
-    for _ in range(7):
-        h = CurvatureDiag(hx=rng.standard_normal(3), hy=rng.standard_normal(2))
-        s = update(s, h, rng)
-    doc = state_to_json(s)
-    parsed = json.loads(doc)
-    assert parsed["rule"] == "additive-ema" and parsed["t"] == 7
-    back = state_from_json(doc)
-    assert back.t == s.t and back.beta == s.beta and back.floor_e == s.floor_e
-    np.testing.assert_array_equal(back.raw_x, s.raw_x)
-    np.testing.assert_array_equal(back.raw_y, s.raw_y)
-    np.testing.assert_array_equal(back.clipped_x, s.clipped_x)
-    np.testing.assert_array_equal(back.clipped_y, s.clipped_y)
