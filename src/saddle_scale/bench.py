@@ -17,8 +17,10 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import operator
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 
@@ -41,7 +43,7 @@ from .precond import (
     ScalingState,
     scaling_preset,
 )
-from .problems import make_bilinear, make_minty, make_quadratic
+from .problems import KINDS, make_bilinear, make_minty, make_quadratic
 from .verify import CHECK_ORDER, run_all
 
 EXIT_OK = 0
@@ -56,95 +58,233 @@ TRANSFORMS = ("none", "log10", "log")
 
 
 # ---------------------------------------------------------------------------
-# config validation: every error carries the JSON path of the offending field
+# config spec: one field table per JSON object drives both resolve_config and
+# print-schema; every error carries the JSON path of the offending field
 
 
-def _sub(field, key):
-    return key if field == "<root>" else f"{field}.{key}"
+_REQUIRED = object()
 
+_JSON_TYPES = {
+    "integer": (int, "must be an integer"),
+    "number": ((int, float), "must be a number"),
+    "string": (str, "must be a string"),
+    "boolean": (bool, "must be true or false"),
+}
 
-def _req(obj, key, field):
-    if key not in obj:
-        raise ConfigError(_sub(field, key), "required key is missing")
-    return obj[key]
-
-
-def _opt(obj, key, default):
-    return obj.get(key, default)
-
-
-def _no_unknown(obj, allowed, field):
-    for k in obj:
-        if k not in allowed:
-            raise ConfigError(_sub(field, k), "unknown key")
-
-
-def _as_int(v, field, lo=None):
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise ConfigError(field, "must be an integer")
-    if lo is not None and v < lo:
-        raise ConfigError(field, f"must be >= {lo}")
-    return v
-
-
-def _as_num(v, field, lo=None, lo_open=False):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(field, "must be a number")
-    v = float(v)
-    if lo is not None and (v < lo or (lo_open and v == lo)):
-        raise ConfigError(field, f"must be {'>' if lo_open else '>='} {lo}")
-    return v
-
-
-def _as_bool(v, field):
-    if not isinstance(v, bool):
-        raise ConfigError(field, "must be true or false")
-    return v
-
-
-def _as_str(v, field, choices=None):
-    if not isinstance(v, str):
-        raise ConfigError(field, "must be a string")
-    if choices is not None and v not in choices:
-        raise ConfigError(field, f"must be one of {', '.join(choices)}")
-    return v
-
-
-_PROBLEM_KEYS = {
-    "quadratic": ("kind", "d_x", "d_y", "mu", "L", "seed", "sigma",
-                  "noise_bound"),
-    "bilinear": ("kind", "d", "L", "seed", "sigma", "noise_bound"),
-    "minty-example": ("kind", "seed", "sigma", "noise_bound"),
+# bound symbol -> (test, JSON Schema keyword)
+_BOUNDS = {
+    ">=": (operator.ge, "minimum"),
+    ">": (operator.gt, "exclusiveMinimum"),
+    "<=": (operator.le, "maximum"),
+    "<": (operator.lt, "exclusiveMaximum"),
 }
 
 
-def resolve_problem(spec, field):
-    if not isinstance(spec, dict):
-        raise ConfigError(field, "must be an object")
-    kind = _as_str(_req(spec, "kind", field), f"{field}.kind",
-                   choices=tuple(_PROBLEM_KEYS))
-    _no_unknown(spec, _PROBLEM_KEYS[kind], field)
-    out = {"kind": kind,
-           "seed": _as_int(_opt(spec, "seed", 0), f"{field}.seed", lo=0),
-           "sigma": _as_num(_opt(spec, "sigma", 0.0), f"{field}.sigma", lo=0.0)}
-    nb = _opt(spec, "noise_bound", None)
-    out["noise_bound"] = (None if nb is None
-                          else _as_num(nb, f"{field}.noise_bound", lo=0.0,
-                                       lo_open=True))
-    if kind == "quadratic":
-        out["d_x"] = _as_int(_req(spec, "d_x", field), f"{field}.d_x", lo=1)
-        out["d_y"] = _as_int(_req(spec, "d_y", field), f"{field}.d_y", lo=1)
-        out["mu"] = _as_num(_req(spec, "mu", field), f"{field}.mu", lo=0.0,
-                            lo_open=True)
-        out["L"] = _as_num(_req(spec, "L", field), f"{field}.L", lo=0.0,
-                           lo_open=True)
-        if out["L"] < out["mu"]:
-            raise ConfigError(f"{field}.L", "must be >= mu")
-    elif kind == "bilinear":
-        out["d"] = _as_int(_req(spec, "d", field), f"{field}.d", lo=1)
-        out["L"] = _as_num(_req(spec, "L", field), f"{field}.L", lo=0.0,
-                           lo_open=True)
-    return out
+def _sub(path, key):
+    return key if path == "<root>" else f"{path}.{key}"
+
+
+@dataclass(frozen=True)
+class Field:
+    """One config key: its JSON type, its default (or required), and its
+    bounds or enum.
+
+    A callable ``default`` receives the keys resolved before this one.
+    ``type`` "object" resolves the value with ``spec``; "array" takes a
+    non-empty list and resolves each item with ``spec``.
+    """
+
+    type: str
+    default: object = _REQUIRED
+    nullable: bool = False
+    enum: tuple | None = None
+    bounds: tuple = ()
+    min_length: int | None = None
+    spec: object = None
+    doc: str | None = None
+
+    def resolve(self, obj, key, path, resolved):
+        path = _sub(path, key)
+        if key in obj:
+            v = obj[key]
+        elif self.default is _REQUIRED:
+            raise ConfigError(path, "required key is missing")
+        else:
+            v = self.default(resolved) if callable(self.default) else self.default
+        if v is None and self.nullable:
+            return None
+        if self.type == "array":
+            if not isinstance(v, list) or not v:
+                raise ConfigError(path, "must be a non-empty list")
+            return [self.spec.resolve(item, f"{path}[{i}]")
+                    for i, item in enumerate(v)]
+        if self.type == "object":
+            return self.spec.resolve(v, path)
+        py_type, message = _JSON_TYPES[self.type]
+        if not isinstance(v, py_type) or (isinstance(v, bool)
+                                          and self.type != "boolean"):
+            raise ConfigError(path, message)
+        if self.type == "number":
+            v = float(v)
+        if self.enum is not None and v not in self.enum:
+            raise ConfigError(path, f"must be one of {', '.join(self.enum)}")
+        if self.min_length is not None and len(v) < self.min_length:
+            raise ConfigError(path, "must be non-empty")
+        if not all(_BOUNDS[sym][0](v, b) for sym, b in self.bounds):
+            raise ConfigError(path, "must be " + " and ".join(
+                f"{sym} {b:g}" for sym, b in self.bounds))
+        return v
+
+    def schema(self):
+        if self.type == "array":
+            out = {"type": "array", "minItems": 1, "items": self.spec.schema()}
+        elif self.type == "object":
+            out = self.spec.schema()
+        elif self.enum is not None:
+            out = {"enum": list(self.enum)}
+        else:
+            out = {"type": [self.type, "null"] if self.nullable else self.type}
+        for sym, b in self.bounds:
+            out[_BOUNDS[sym][1]] = b
+        if self.min_length is not None:
+            out["minLength"] = self.min_length
+        if self.default is not _REQUIRED and not callable(self.default):
+            out["default"] = self.default
+        if self.doc is not None:
+            out["description"] = self.doc
+        return out
+
+
+@dataclass(frozen=True)
+class Table:
+    """The fields of one JSON object in resolved-key order, plus the rule
+    that spans them, ``check(resolved, path)``."""
+
+    fields: dict
+    check: object = None
+
+    def resolve(self, obj, path):
+        if not isinstance(obj, dict):
+            raise ConfigError(path, "must be an object")
+        for key in obj:
+            if key not in self.fields:
+                raise ConfigError(_sub(path, key), "unknown key")
+        out = {}
+        for key, f in self.fields.items():
+            out[key] = f.resolve(obj, key, path, out)
+        if self.check is not None:
+            self.check(out, path)
+        return out
+
+    def schema(self):
+        return {"type": "object",
+                "required": [k for k, f in self.fields.items()
+                             if f.default is _REQUIRED],
+                "additionalProperties": False,
+                "properties": {k: f.schema() for k, f in self.fields.items()}}
+
+
+@dataclass(frozen=True)
+class OneOf:
+    """A JSON object whose table is ``tables[pick(obj, path)]``."""
+
+    pick: object
+    tables: dict
+
+    def resolve(self, obj, path):
+        if not isinstance(obj, dict):
+            raise ConfigError(path, "must be an object")
+        return self.tables[self.pick(obj, path)].resolve(obj, path)
+
+    def schema(self):
+        return {"oneOf": [t.schema() for t in self.tables.values()]}
+
+
+def _l_at_least_mu(out, path):
+    if out["L"] < out["mu"]:
+        raise ConfigError(_sub(path, "L"), "must be >= mu")
+
+
+def _every_k_excludes_prob(out, path):
+    if out["update_every_k"] is not None and out["update_prob"] < 1.0:
+        raise ConfigError(_sub(path, "update_every_k"),
+                          "mutually exclusive with update_prob < 1")
+
+
+_KIND = Field("string", enum=KINDS)
+_DIM = Field("integer", bounds=((">=", 1),))
+_POSITIVE = Field("number", bounds=((">", 0),))
+
+
+def _problem(kind, own, check=None):
+    """Table of one problem kind: the shared keys, then the kind's own."""
+    return Table({
+        "kind": Field("string", enum=(kind,)),
+        "seed": Field("integer", 0, bounds=((">=", 0),)),
+        "sigma": Field("number", 0.0, bounds=((">=", 0),)),
+        "noise_bound": Field("number", None, nullable=True,
+                             bounds=((">", 0),), doc="null means 10*sigma"),
+        **own}, check)
+
+
+PROBLEM = OneOf(lambda obj, path: _KIND.resolve(obj, "kind", path, {}), {
+    "quadratic": _problem("quadratic", {
+        "d_x": _DIM, "d_y": _DIM, "mu": _POSITIVE,
+        "L": Field("number", bounds=((">", 0),), doc="must be >= mu")},
+        _l_at_least_mu),
+    "bilinear": _problem("bilinear", {"d": _DIM, "L": _POSITIVE}),
+    "minty-example": _problem("minty-example", {}),
+})
+
+_FIRING = {
+    "update_prob": Field("number", 1.0, bounds=((">", 0), ("<=", 1))),
+    "update_every_k": Field("integer", None, nullable=True,
+                            bounds=((">=", 1),),
+                            doc="fire every k-th call; needs update_prob 1"),
+}
+
+SCALING = OneOf(lambda obj, path: "preset" if "preset" in obj else "full", {
+    "preset": Table({"preset": Field("string", enum=PRESET_NAMES),
+                     **_FIRING}, _every_k_excludes_prob),
+    "full": Table({"rule": Field("string", enum=RULES),
+                   "source": Field("string", enum=SOURCES),
+                   "schedule": Field("string", enum=SCHEDULES),
+                   "beta": Field("number", bounds=((">=", 0), ("<=", 1))),
+                   "floor_e": _POSITIVE,
+                   "clip_variant": Field("string", "max", enum=CLIP_VARIANTS),
+                   **_FIRING}, _every_k_excludes_prob),
+})
+
+OPTIMIZER = Table({
+    "method": Field("string", enum=METHODS),
+    "T": Field("integer", bounds=((">=", 0),)),
+    "gamma": Field("number", nullable=True, bounds=((">", 0),),
+                   doc="null picks the conservative default floor_e / (10 L)"),
+    "scaling": Field("object", {"preset": "identity"}, spec=SCALING),
+    "eta": Field("number", 0.0, bounds=((">=", 0),)),
+    "anchor_prob": Field("number", 0.25, bounds=((">", 0), ("<=", 1))),
+    "batch": Field("integer", 1, bounds=((">=", 1),)),
+    "averaging": Field("string", "uniform", enum=AVERAGING),
+    "ema_lambda": Field("number", 0.999, bounds=((">=", 0), ("<", 1))),
+    "theory_safe": Field("boolean", False),
+    "expect_divergence": Field("boolean", False),
+    "label": Field("string", lambda out: out["method"],
+                   doc="defaults to the method name"),
+})
+
+CONFIG = Table({
+    "name": Field("string", min_length=1),
+    "master_seed": Field("integer", DEFAULT_MASTER_SEED, bounds=((">=", 0),)),
+    "output_dir": Field("string", "runs"),
+    "repeats": Field("integer", 1, bounds=((">=", 1),)),
+    "problems": Field("array", spec=PROBLEM),
+    "optimizers": Field("array", spec=OPTIMIZER),
+})
+
+
+def resolve_config(doc):
+    """Validate a parsed JSON document and fill in every default."""
+    return CONFIG.resolve(doc, "<root>")
 
 
 def build_problem(resolved):
@@ -158,122 +298,12 @@ def build_problem(resolved):
     return make_minty(**kw)
 
 
-_SCALING_PRESET_KEYS = ("preset", "update_prob", "update_every_k")
-_SCALING_FULL_KEYS = ("rule", "source", "schedule", "beta", "floor_e",
-                      "update_prob", "clip_variant", "update_every_k")
-
-
-def resolve_scaling(spec, field):
-    if not isinstance(spec, dict):
-        raise ConfigError(field, "must be an object")
-    every_k = _opt(spec, "update_every_k", None)
-    if every_k is not None:
-        every_k = _as_int(every_k, f"{field}.update_every_k", lo=1)
-    prob = _as_num(_opt(spec, "update_prob", 1.0), f"{field}.update_prob")
-    if not 0.0 < prob <= 1.0:
-        raise ConfigError(f"{field}.update_prob", "must lie in (0, 1]")
-    if every_k is not None and prob < 1.0:
-        raise ConfigError(f"{field}.update_every_k",
-                          "mutually exclusive with update_prob < 1")
-    if "preset" in spec:
-        _no_unknown(spec, _SCALING_PRESET_KEYS, field)
-        name = _as_str(spec["preset"], f"{field}.preset", choices=PRESET_NAMES)
-        return {"preset": name, "update_prob": prob,
-                "update_every_k": every_k}
-    _no_unknown(spec, _SCALING_FULL_KEYS, field)
-    return {
-        "rule": _as_str(_req(spec, "rule", field), f"{field}.rule",
-                        choices=RULES),
-        "source": _as_str(_req(spec, "source", field), f"{field}.source",
-                          choices=SOURCES),
-        "schedule": _as_str(_req(spec, "schedule", field), f"{field}.schedule",
-                            choices=SCHEDULES),
-        "beta": _as_num(_req(spec, "beta", field), f"{field}.beta"),
-        "floor_e": _as_num(_req(spec, "floor_e", field), f"{field}.floor_e",
-                           lo=0.0, lo_open=True),
-        "clip_variant": _as_str(_opt(spec, "clip_variant", "max"),
-                                f"{field}.clip_variant",
-                                choices=CLIP_VARIANTS),
-        "update_prob": prob,
-        "update_every_k": every_k,
-    }
-
-
 def build_scaling(resolved, d_x, d_y):
     if "preset" in resolved:
         return scaling_preset(resolved["preset"], d_x, d_y,
                               update_prob=resolved["update_prob"],
                               update_every_k=resolved["update_every_k"])
     return ScalingState.create(d_x=d_x, d_y=d_y, **resolved)
-
-
-_OPTIMIZER_KEYS = ("method", "T", "gamma", "scaling", "eta", "anchor_prob",
-                   "batch", "averaging", "ema_lambda", "theory_safe",
-                   "expect_divergence", "label")
-
-
-def resolve_optimizer(spec, field):
-    if not isinstance(spec, dict):
-        raise ConfigError(field, "must be an object")
-    _no_unknown(spec, _OPTIMIZER_KEYS, field)
-    method = _as_str(_req(spec, "method", field), f"{field}.method",
-                     choices=METHODS)
-    gamma = _req(spec, "gamma", field)
-    if gamma is not None:
-        gamma = _as_num(gamma, f"{field}.gamma", lo=0.0)
-    out = {
-        "method": method,
-        "T": _as_int(_req(spec, "T", field), f"{field}.T", lo=0),
-        "gamma": gamma,
-        "scaling": resolve_scaling(_opt(spec, "scaling", {"preset": "identity"}),
-                                   f"{field}.scaling"),
-        "eta": _as_num(_opt(spec, "eta", 0.0), f"{field}.eta", lo=0.0),
-        "anchor_prob": _as_num(_opt(spec, "anchor_prob", 0.25),
-                               f"{field}.anchor_prob"),
-        "batch": _as_int(_opt(spec, "batch", 1), f"{field}.batch", lo=1),
-        "averaging": _as_str(_opt(spec, "averaging", "uniform"),
-                             f"{field}.averaging", choices=AVERAGING),
-        "ema_lambda": _as_num(_opt(spec, "ema_lambda", 0.999),
-                              f"{field}.ema_lambda"),
-        "theory_safe": _as_bool(_opt(spec, "theory_safe", False),
-                                f"{field}.theory_safe"),
-        "expect_divergence": _as_bool(_opt(spec, "expect_divergence", False),
-                                      f"{field}.expect_divergence"),
-    }
-    if not 0.0 < out["anchor_prob"] <= 1.0:
-        raise ConfigError(f"{field}.anchor_prob", "must lie in (0, 1]")
-    if not 0.0 <= out["ema_lambda"] < 1.0:
-        raise ConfigError(f"{field}.ema_lambda", "must lie in [0, 1)")
-    out["label"] = _as_str(_opt(spec, "label", method), f"{field}.label")
-    return out
-
-
-def resolve_config(doc):
-    """Validate a parsed JSON document and fill in every default."""
-    if not isinstance(doc, dict):
-        raise ConfigError("<root>", "config must be a JSON object")
-    _no_unknown(doc, ("name", "master_seed", "output_dir", "repeats",
-                      "problems", "optimizers"), "<root>")
-    name = _as_str(_req(doc, "name", "<root>"), "name")
-    if not name:
-        raise ConfigError("name", "must be non-empty")
-    problems = _req(doc, "problems", "<root>")
-    optimizers = _req(doc, "optimizers", "<root>")
-    if not isinstance(problems, list) or not problems:
-        raise ConfigError("problems", "must be a non-empty list")
-    if not isinstance(optimizers, list) or not optimizers:
-        raise ConfigError("optimizers", "must be a non-empty list")
-    return {
-        "name": name,
-        "master_seed": _as_int(_opt(doc, "master_seed", DEFAULT_MASTER_SEED),
-                               "master_seed", lo=0),
-        "output_dir": _as_str(_opt(doc, "output_dir", "runs"), "output_dir"),
-        "repeats": _as_int(_opt(doc, "repeats", 1), "repeats", lo=1),
-        "problems": [resolve_problem(p, f"problems[{i}]")
-                     for i, p in enumerate(problems)],
-        "optimizers": [resolve_optimizer(o, f"optimizers[{j}]")
-                       for j, o in enumerate(optimizers)],
-    }
 
 
 def suite_digest(resolved):
@@ -329,12 +359,11 @@ def _final_gap(problem, traj, averaging, ema_lambda):
         return None
 
 
-def run_cell(resolved, digest, out_dir, cell):
-    """Execute one cell and write its CSV; returns the summary entry."""
+def run_cell(resolved, digest, out_dir, cell, problem):
+    """Execute one cell on its built problem and write its CSV; returns the
+    summary entry."""
     i, j, rep, index = cell
-    pspec = resolved["problems"][i]
     ospec = resolved["optimizers"][j]
-    problem = build_problem(pspec)
     seed = cell_seed(resolved["master_seed"], index)
     cfg = OptimizerConfig(
         method=ospec["method"], T=ospec["T"], seed=seed,
@@ -414,7 +443,11 @@ def run_suite(resolved, echo=print):
              for j in range(n_opt)
              for r in range(reps)]
     workers = _pool_size(len(cells))
-    job = lambda cell: run_cell(resolved, digest, out_dir, cell)
+    # problems are immutable and their noise generator is thread-local, so
+    # each is built once and shared by all of its cells
+    problems = [build_problem(p) for p in resolved["problems"]]
+    job = lambda cell: run_cell(resolved, digest, out_dir, cell,
+                                problems[cell[0]])
     if workers == 1:
         entries = [job(c) for c in cells]
     else:
@@ -500,81 +533,6 @@ def cmd_plotdata(path, metric, transform="none", stride=1, out=None,
         print(f"no plottable values for metric {metric!r}", file=err)
         return EXIT_USAGE
     return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# schema
-
-
-SCHEMA = {
-    "type": "object",
-    "required": ["name", "problems", "optimizers"],
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string", "minLength": 1},
-        "master_seed": {"type": "integer", "minimum": 0,
-                        "default": DEFAULT_MASTER_SEED},
-        "output_dir": {"type": "string", "default": "runs"},
-        "repeats": {"type": "integer", "minimum": 1, "default": 1},
-        "problems": {
-            "type": "array", "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["kind"],
-                "description": ("quadratic needs d_x, d_y, mu, L; bilinear "
-                                "needs d, L; minty-example needs nothing "
-                                "beyond the shared keys"),
-                "properties": {
-                    "kind": {"enum": list(_PROBLEM_KEYS)},
-                    "d_x": {"type": "integer", "minimum": 1},
-                    "d_y": {"type": "integer", "minimum": 1},
-                    "d": {"type": "integer", "minimum": 1},
-                    "mu": {"type": "number", "exclusiveMinimum": 0},
-                    "L": {"type": "number", "exclusiveMinimum": 0},
-                    "seed": {"type": "integer", "minimum": 0, "default": 0},
-                    "sigma": {"type": "number", "minimum": 0, "default": 0},
-                    "noise_bound": {"type": ["number", "null"],
-                                    "default": None,
-                                    "description": "null means 10*sigma"},
-                },
-            },
-        },
-        "optimizers": {
-            "type": "array", "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["method", "T", "gamma"],
-                "additionalProperties": False,
-                "properties": {
-                    "method": {"enum": list(METHODS)},
-                    "T": {"type": "integer", "minimum": 0},
-                    "gamma": {"type": ["number", "null"],
-                              "description": ("null picks the conservative "
-                                              "default floor_e / (10 L)")},
-                    "scaling": {
-                        "type": "object",
-                        "default": {"preset": "identity"},
-                        "description": ("either {preset, update_prob?, "
-                                        "update_every_k?} with preset in "
-                                        f"{list(PRESET_NAMES)} or the full "
-                                        "form {rule, source, schedule, beta, "
-                                        "floor_e, update_prob?, clip_variant?,"
-                                        " update_every_k?}"),
-                    },
-                    "eta": {"type": "number", "minimum": 0, "default": 0},
-                    "anchor_prob": {"type": "number", "default": 0.25},
-                    "batch": {"type": "integer", "minimum": 1, "default": 1},
-                    "averaging": {"enum": list(AVERAGING),
-                                  "default": "uniform"},
-                    "ema_lambda": {"type": "number", "default": 0.999},
-                    "theory_safe": {"type": "boolean", "default": False},
-                    "expect_divergence": {"type": "boolean", "default": False},
-                    "label": {"type": "string"},
-                },
-            },
-        },
-    },
-}
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +623,7 @@ def main(argv=None):
                             stride=args.stride)
     if args.command == "verify":
         return cmd_verify(args.only, args.seed)
-    print(json.dumps(SCHEMA, indent=2))
+    print(json.dumps(CONFIG.schema(), indent=2))
     return EXIT_OK
 
 

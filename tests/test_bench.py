@@ -75,6 +75,11 @@ def test_defaults_filled_in(tmp_path):
     (lambda c: c["optimizers"][0].update(
         scaling={"preset": "oasis", "update_prob": 0.5, "update_every_k": 3}),
      "optimizers[0].scaling.update_every_k"),
+    (lambda c: c["optimizers"][0].update(gamma=0), "optimizers[0].gamma"),
+    (lambda c: c["optimizers"][0].update(scaling={
+        "rule": "additive-ema", "source": "hutchinson",
+        "schedule": "constant-beta", "beta": 1.5, "floor_e": 0.01}),
+     "optimizers[0].scaling.beta"),
 ])
 def test_validation_names_offending_field(tmp_path, mutate, field):
     cfg = minimal_config(tmp_path)
@@ -337,11 +342,148 @@ def test_schema_matches_validator_on_example(tmp_path):
     # the minimal config passes both the schema's required list and the
     # validator; removing a schema-required key fails the validator too
     cfg = minimal_config(tmp_path)
-    schema = bench.SCHEMA
+    schema = bench.CONFIG.schema()
     for key in schema["required"]:
         broken = {k: v for k, v in cfg.items() if k != key}
         with pytest.raises(ConfigError):
             bench.resolve_config(broken)
+
+
+def maximal_config(tmp_path):
+    """Every object the schema describes, with every optional key set."""
+    return minimal_config(tmp_path, master_seed=3, repeats=1, problems=[
+        {"kind": "quadratic", "d_x": 2, "d_y": 2, "mu": 0.5, "L": 2.0,
+         "seed": 1, "sigma": 0.1, "noise_bound": 1.0},
+        {"kind": "bilinear", "d": 2, "L": 1.0, "seed": 0, "sigma": 0.0,
+         "noise_bound": None},
+        {"kind": "minty-example", "seed": 2, "sigma": 0.1,
+         "noise_bound": 1.0},
+    ], optimizers=[
+        {"method": "extragrad", "T": 5, "gamma": 0.1,
+         "scaling": {"preset": "oasis", "update_prob": 1.0,
+                     "update_every_k": 2},
+         "eta": 0.0, "anchor_prob": 0.25, "batch": 1, "averaging": "ema",
+         "ema_lambda": 0.9, "theory_safe": False,
+         "expect_divergence": False, "label": "eg"},
+        {"method": "sgda", "T": 5, "gamma": None,
+         "scaling": {"rule": "additive-ema", "source": "hutchinson",
+                     "schedule": "constant-beta", "beta": 0.9,
+                     "floor_e": 0.01, "update_prob": 0.5,
+                     "clip_variant": "add", "update_every_k": None},
+         "eta": 0.01, "anchor_prob": 1.0, "batch": 2,
+         "averaging": "uniform", "ema_lambda": 0.0, "theory_safe": False,
+         "expect_divergence": False, "label": "gd"},
+    ])
+
+
+def schema_objects(schema, doc, keys=(), path="<root>"):
+    """Yield (keys, path, object schema, object) for every JSON object in
+    ``doc``, resolving each ``oneOf`` to the branch that ``doc`` fits."""
+    if "oneOf" in schema:
+        schema = next(
+            b for b in schema["oneOf"]
+            if set(b["required"]) <= set(doc) <= set(b["properties"])
+            and all(doc[k] in p["enum"] for k, p in b["properties"].items()
+                    if k in doc and "enum" in p))
+    yield keys, path, schema, doc
+    for key, prop in schema["properties"].items():
+        sub = key if path == "<root>" else f"{path}.{key}"
+        if prop.get("type") == "array":
+            for i, item in enumerate(doc[key]):
+                yield from schema_objects(prop["items"], item,
+                                          keys + (key, i), f"{sub}[{i}]")
+        elif "oneOf" in prop or prop.get("type") == "object":
+            yield from schema_objects(prop, doc[key], keys + (key,), sub)
+
+
+WRONG_TYPE = {"integer": 1.5, "number": "x", "string": 5, "boolean": "yes",
+              "array": {}, "object": []}
+
+
+def violations(prop):
+    """Values that the property schema ``prop`` rules out."""
+    if "enum" in prop:
+        yield from ("not-a-choice", 5)
+    else:
+        kind = prop.get("type", "object")
+        yield WRONG_TYPE[kind[0] if isinstance(kind, list) else kind]
+    if "minimum" in prop:
+        yield prop["minimum"] - 1
+    if "maximum" in prop:
+        yield prop["maximum"] + 1
+    for key in ("exclusiveMinimum", "exclusiveMaximum"):
+        if key in prop:
+            yield prop[key]
+    if prop.get("minLength") == 1:
+        yield ""
+    if prop.get("minItems") == 1:
+        yield []
+
+
+def mutated(cfg, keys, key, value):
+    out = json.loads(json.dumps(cfg))
+    obj = out
+    for k in keys:
+        obj = obj[k]
+    if value is None:
+        del obj[key]
+    else:
+        obj[key] = value
+    return out
+
+
+def test_schema_bounds_and_enums_are_enforced(tmp_path):
+    cfg = maximal_config(tmp_path)
+    bench.resolve_config(cfg)
+    schema = bench.CONFIG.schema()
+    checked = 0
+    for keys, path, obj_schema, _ in schema_objects(schema, cfg):
+        for key, prop in obj_schema["properties"].items():
+            sub = key if path == "<root>" else f"{path}.{key}"
+            for bad in violations(prop):
+                with pytest.raises(ConfigError) as exc:
+                    bench.resolve_config(mutated(cfg, keys, key, bad))
+                assert exc.value.field == sub, (sub, bad)
+                checked += 1
+        for key in obj_schema["required"]:
+            with pytest.raises(ConfigError):
+                bench.resolve_config(mutated(cfg, keys, key, None))
+    assert checked > 60
+
+
+def test_schema_keys_match_resolver(tmp_path):
+    cfg = maximal_config(tmp_path)
+    schema = bench.CONFIG.schema()
+    # the maximal config sets every key the schema names, and passes
+    for keys, path, obj_schema, obj in schema_objects(schema, cfg):
+        assert set(obj) == set(obj_schema["properties"]), path
+        with pytest.raises(ConfigError) as exc:
+            bench.resolve_config(mutated(cfg, keys, "bogus", 1))
+        assert exc.value.field.endswith("bogus")
+    # every key the resolver emits is a schema key, in schema order
+    resolved = bench.resolve_config(cfg)
+    for _, path, obj_schema, obj in schema_objects(schema, resolved):
+        assert list(obj) == list(obj_schema["properties"]), path
+
+
+def test_each_problem_built_once_per_suite(tmp_path, monkeypatch):
+    seeds = []
+    real = bench.make_minty
+
+    def counting(**kw):
+        seeds.append(kw["seed"])
+        return real(**kw)
+
+    monkeypatch.setattr(bench, "make_minty", counting)
+    monkeypatch.setenv(bench.THREADS_ENV, "2")
+    cfg = minimal_config(tmp_path, repeats=2, problems=[
+        {"kind": "minty-example", "seed": 1},
+        {"kind": "minty-example", "seed": 2},
+    ], optimizers=[{"method": "extragrad", "T": 5, "gamma": 0.01},
+                   {"method": "sgda", "T": 5, "gamma": 0.01}])
+    code, _, _ = run_main(["run", write_config(tmp_path, cfg)])
+    assert code == 0
+    assert seeds == [1, 2]
 
 
 def test_verify_unknown_name_exits_two():
