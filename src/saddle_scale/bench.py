@@ -109,8 +109,10 @@ class Field:
             v = obj[key]
         elif self.default is _REQUIRED:
             raise ConfigError(path, "required key is missing")
+        elif callable(self.default):
+            v = self.default(resolved)
         else:
-            v = self.default(resolved) if callable(self.default) else self.default
+            v = self.default
         if v is None and self.nullable:
             return None
         if self.type == "array":
@@ -227,7 +229,7 @@ def _problem(kind, own, check=None):
         **own}, check)
 
 
-PROBLEM = OneOf(lambda obj, path: _KIND.resolve(obj, "kind", path, {}), {
+_PROBLEM = OneOf(lambda obj, path: _KIND.resolve(obj, "kind", path, {}), {
     "quadratic": _problem("quadratic", {
         "d_x": _DIM, "d_y": _DIM, "mu": _POSITIVE,
         "L": Field("number", bounds=((">", 0),), doc="must be >= mu")},
@@ -243,7 +245,7 @@ _FIRING = {
                             doc="fire every k-th call; needs update_prob 1"),
 }
 
-SCALING = OneOf(lambda obj, path: "preset" if "preset" in obj else "full", {
+_SCALING = OneOf(lambda obj, path: "preset" if "preset" in obj else "full", {
     "preset": Table({"preset": Field("string", enum=PRESET_NAMES),
                      **_FIRING}, _every_k_excludes_prob),
     "full": Table({"rule": Field("string", enum=RULES),
@@ -255,12 +257,12 @@ SCALING = OneOf(lambda obj, path: "preset" if "preset" in obj else "full", {
                    **_FIRING}, _every_k_excludes_prob),
 })
 
-OPTIMIZER = Table({
+_OPTIMIZER = Table({
     "method": Field("string", enum=METHODS),
     "T": Field("integer", bounds=((">=", 0),)),
     "gamma": Field("number", nullable=True, bounds=((">", 0),),
                    doc="null picks the conservative default floor_e / (10 L)"),
-    "scaling": Field("object", {"preset": "identity"}, spec=SCALING),
+    "scaling": Field("object", {"preset": "identity"}, spec=_SCALING),
     "eta": Field("number", 0.0, bounds=((">=", 0),)),
     "anchor_prob": Field("number", 0.25, bounds=((">", 0), ("<=", 1))),
     "batch": Field("integer", 1, bounds=((">=", 1),)),
@@ -277,8 +279,8 @@ CONFIG = Table({
     "master_seed": Field("integer", DEFAULT_MASTER_SEED, bounds=((">=", 0),)),
     "output_dir": Field("string", "runs"),
     "repeats": Field("integer", 1, bounds=((">=", 1),)),
-    "problems": Field("array", spec=PROBLEM),
-    "optimizers": Field("array", spec=OPTIMIZER),
+    "problems": Field("array", spec=_PROBLEM),
+    "optimizers": Field("array", spec=_OPTIMIZER),
 })
 
 

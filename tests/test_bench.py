@@ -75,11 +75,12 @@ def test_defaults_filled_in(tmp_path):
     (lambda c: c["optimizers"][0].update(
         scaling={"preset": "oasis", "update_prob": 0.5, "update_every_k": 3}),
      "optimizers[0].scaling.update_every_k"),
-    (lambda c: c["optimizers"][0].update(gamma=0), "optimizers[0].gamma"),
-    (lambda c: c["optimizers"][0].update(scaling={
+    pytest.param(lambda c: c["optimizers"][0].update(gamma=0),
+                 "optimizers[0].gamma", id="gamma-zero"),
+    pytest.param(lambda c: c["optimizers"][0].update(scaling={
         "rule": "additive-ema", "source": "hutchinson",
         "schedule": "constant-beta", "beta": 1.5, "floor_e": 0.01}),
-     "optimizers[0].scaling.beta"),
+        "optimizers[0].scaling.beta", id="beta-above-one"),
 ])
 def test_validation_names_offending_field(tmp_path, mutate, field):
     cfg = minimal_config(tmp_path)
