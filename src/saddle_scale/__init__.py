@@ -35,8 +35,6 @@ from .optim import (
     OptimizerConfig,
     RunStreams,
     Trajectory,
-    average_ema,
-    average_uniform,
     resolve_gamma,
     run,
     step_extragrad,
@@ -50,7 +48,6 @@ from .precond import (
     RULES,
     SCHEDULES,
     SOURCES,
-    CurvatureDiag,
     ScalingState,
     advance,
     beta_t,
@@ -65,13 +62,10 @@ from .precond import (
 )
 from .problems import (
     KINDS,
-    FieldValue,
-    OracleSample,
     PointPair,
     SaddleProblem,
     field,
     gradient,
-    hvp,
     make_bilinear,
     make_minty,
     make_quadratic,
@@ -87,20 +81,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AVERAGING", "CLIP_VARIANTS", "CapabilityError", "CheckResult",
-    "ConfigError", "ContractionReport", "CurvatureDiag",
-    "DimensionMismatchError", "DivergenceError", "FieldValue",
-    "InvalidParameterError", "KINDS", "METHODS", "NoUniqueSolutionError",
-    "NonFiniteError", "OptimizerConfig", "OracleSample", "PRESET_NAMES",
-    "PointPair", "PreconditionError", "RULES", "RunRecord", "RunStreams",
-    "SCHEDULES", "SOURCES", "SaddleProblem", "SaddleScaleError",
-    "ScalingState", "Trajectory", "advance", "average_ema",
-    "average_uniform", "beta_t", "check_names", "check_scalar_inequality",
-    "contraction_check", "curvature_grad_square", "curvature_hutchinson",
-    "field", "fit_rate", "gamma_bound", "gap_restricted", "gradient",
-    "growth_constant", "growth_factor", "hutchinson_probe", "hvp",
-    "make_bilinear", "make_minty", "make_quadratic", "noise_floor",
-    "problem_from_json", "problem_to_json", "quadratic_from_matrices",
-    "resolve_gamma", "run", "run_all", "run_check", "scaling_preset",
-    "solve_exact", "step_extragrad", "step_sgda", "step_single_call",
-    "update", "verify_minty", "warm_start_single_call", "weighted_dist_sq",
+    "ConfigError", "ContractionReport", "DimensionMismatchError",
+    "DivergenceError", "InvalidParameterError", "KINDS", "METHODS",
+    "NoUniqueSolutionError", "NonFiniteError", "OptimizerConfig",
+    "PRESET_NAMES", "PointPair", "PreconditionError", "RULES", "RunRecord",
+    "RunStreams", "SCHEDULES", "SOURCES", "SaddleProblem", "SaddleScaleError",
+    "ScalingState", "Trajectory", "advance", "beta_t", "check_names",
+    "check_scalar_inequality", "contraction_check", "curvature_grad_square",
+    "curvature_hutchinson", "field", "fit_rate", "gamma_bound",
+    "gap_restricted", "gradient", "growth_constant", "growth_factor",
+    "hutchinson_probe", "make_bilinear", "make_minty", "make_quadratic",
+    "noise_floor", "problem_from_json", "problem_to_json",
+    "quadratic_from_matrices", "resolve_gamma", "run", "run_all", "run_check",
+    "scaling_preset", "solve_exact", "step_extragrad", "step_sgda",
+    "step_single_call", "update", "verify_minty", "warm_start_single_call",
+    "weighted_dist_sq",
 ]

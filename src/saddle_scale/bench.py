@@ -33,7 +33,14 @@ from .errors import (
     PreconditionError,
 )
 from .metrics import gap_restricted
-from .optim import AVERAGING, METHODS, OptimizerConfig, run
+from .optim import (
+    AVERAGING,
+    METHODS,
+    OptimizerConfig,
+    resolve_gamma,
+    run,
+    theory_gate_failure,
+)
 from .precond import (
     CLIP_VARIANTS,
     PRESET_NAMES,
@@ -308,6 +315,31 @@ def build_scaling(resolved, d_x, d_y):
     return ScalingState.create(d_x=d_x, d_y=d_y, **resolved)
 
 
+def build_optimizer(resolved, seed, problem):
+    return OptimizerConfig(
+        method=resolved["method"], T=resolved["T"], seed=seed,
+        scaling=build_scaling(resolved["scaling"], problem.d_x, problem.d_y),
+        gamma=resolved["gamma"], eta=resolved["eta"],
+        anchor_prob=resolved["anchor_prob"], batch=resolved["batch"],
+        averaging=resolved["averaging"], ema_lambda=resolved["ema_lambda"],
+        theory_safe=resolved["theory_safe"])
+
+
+def _check_theory_gates(resolved, problems):
+    """Raise ConfigError for the first theory-safe optimizer whose step
+    size or momentum breaks its gate on one of the built problems; the gate
+    depends on each problem's L and kind, so the field tables cannot."""
+    for j, ospec in enumerate(resolved["optimizers"]):
+        if not ospec["theory_safe"]:
+            continue
+        for problem in problems:
+            cfg = build_optimizer(ospec, 0, problem)
+            failure = theory_gate_failure(problem, cfg,
+                                          resolve_gamma(problem, cfg))
+            if failure is not None:
+                raise ConfigError(f"optimizers[{j}].{failure[0]}", failure[1])
+
+
 def suite_digest(resolved):
     """Hex digest of the canonical resolved config.
 
@@ -367,13 +399,7 @@ def run_cell(resolved, digest, out_dir, cell, problem):
     i, j, rep, index = cell
     ospec = resolved["optimizers"][j]
     seed = cell_seed(resolved["master_seed"], index)
-    cfg = OptimizerConfig(
-        method=ospec["method"], T=ospec["T"], seed=seed,
-        scaling=build_scaling(ospec["scaling"], problem.d_x, problem.d_y),
-        gamma=ospec["gamma"], eta=ospec["eta"],
-        anchor_prob=ospec["anchor_prob"], batch=ospec["batch"],
-        averaging=ospec["averaging"], ema_lambda=ospec["ema_lambda"],
-        theory_safe=ospec["theory_safe"])
+    cfg = build_optimizer(ospec, seed, problem)
     csv_name = f"cell_{i}_{j}_{rep}.csv"
     path = out_dir / csv_name
     diverged = False
@@ -436,6 +462,10 @@ def run_suite(resolved, echo=print):
     digest = suite_digest(resolved)
     echo(f"suite {resolved['name']}: master seed {resolved['master_seed']}, "
          f"digest {digest}")
+    # problems are immutable and their noise generator is thread-local, so
+    # each is built once and shared by all of its cells
+    problems = [build_problem(p) for p in resolved["problems"]]
+    _check_theory_gates(resolved, problems)
     out_dir = Path(resolved["output_dir"]) / resolved["name"]
     out_dir.mkdir(parents=True, exist_ok=True)
     n_opt = len(resolved["optimizers"])
@@ -445,9 +475,6 @@ def run_suite(resolved, echo=print):
              for j in range(n_opt)
              for r in range(reps)]
     workers = _pool_size(len(cells))
-    # problems are immutable and their noise generator is thread-local, so
-    # each is built once and shared by all of its cells
-    problems = [build_problem(p) for p in resolved["problems"]]
     job = lambda cell: run_cell(resolved, digest, out_dir, cell,
                                 problems[cell[0]])
     if workers == 1:

@@ -44,14 +44,14 @@ class RunRecord:
 
 
 def weighted_dist_sq(z, z_star, scaling):
-    """sum_i clipped_i * (z_i - z*_i)^2 over both blocks."""
+    """sum_i clipped_i * (z_i - z*_i)^2 over the concatenated coordinates
+    of the vectors ``z`` and ``z_star``."""
     if z_star is None:
         raise InvalidParameterError("weighted distance needs a known z_star")
-    if z.d_x != z_star.d_x or z.d_y != z_star.d_y:
-        raise DimensionMismatchError("z and z_star block sizes differ")
-    clipped = np.concatenate([scaling.clipped_x, scaling.clipped_y])
-    dz = z.as_vector() - z_star.as_vector()
-    return float(np.dot(clipped * dz, dz))
+    if z.shape != z_star.shape:
+        raise DimensionMismatchError("z and z_star lengths differ")
+    dz = z - z_star
+    return float(np.dot(scaling.clipped * dz, dz))
 
 
 def noise_floor(records, tail_frac=0.2):

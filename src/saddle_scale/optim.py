@@ -18,7 +18,6 @@ precond-skip, init) spawned from the run seed, so toggling one feature
 never shifts another's draws.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .metrics import RunRecord, weighted_dist_sq
 from .precond import ScalingState, advance, curvature_for, scaling_preset
-from .problems import FieldValue, OracleSample, PointPair, field_into, gradient
+from .problems import PointPair, add_noise, field_into, gradient
 
 METHODS = ("extragrad", "single-call-momentum", "sgda")
 AVERAGING = ("none", "uniform", "ema")
@@ -57,21 +56,22 @@ class RunStreams:
         return RunStreams(*gens)
 
 
-@dataclass(frozen=True)
-class SingleCallCache:
-    """Previous half-iterate, its gradient, and the batch that produced it
-    (the batch also feeds the next preconditioner refresh)."""
-
-    z_half_prev: PointPair
-    g_prev: FieldValue
-    sample_prev: OracleSample
-
-
 @dataclass
 class ScalingTraceEntry:
+    """One step of a traced run: whether the scaling update fired, and the
+    clipped diagonal (a skipped step shares the previous step's array)."""
+
     fired: bool
-    clipped_x: np.ndarray
-    clipped_y: np.ndarray
+    clipped: np.ndarray
+    d_x: int
+
+    @property
+    def clipped_x(self):
+        return self.clipped[: self.d_x]
+
+    @property
+    def clipped_y(self):
+        return self.clipped[self.d_x :]
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,6 @@ class Trajectory:
     final_avg_ema: PointPair
     grad_calls: int
     hvp_calls: int
-    d_x: int
     config: OptimizerConfig | None = None
     scaling_trace: list | None = None
 
@@ -143,21 +142,23 @@ def resolve_gamma(problem, config):
     return _template(config).floor_e / (10.0 * problem.L)
 
 
-def _check_theory_gates(problem, config, gamma):
+def theory_gate_failure(problem, config, gamma):
+    """(parameter, message) for the first theory-safe gate that ``config``
+    breaks at step size ``gamma`` on ``problem``, or None."""
     e = _template(config).floor_e
     L = problem.L
     if config.method == "single-call-momentum":
         cap = e / (10.0 * L)
         if gamma > cap:
-            raise InvalidParameterError(
-                f"theory-safe single-call needs gamma <= floor_e/(10 L) = {cap:g}")
+            return "gamma", (f"theory-safe single-call needs gamma <= "
+                             f"floor_e/(10 L) = {cap:g}")
         if config.anchor_prob > 0.25:
-            raise InvalidParameterError(
-                "theory-safe single-call needs anchor_prob <= 1/4")
+            return "anchor_prob", ("theory-safe single-call needs "
+                                   "anchor_prob <= 1/4")
         if config.eta > e * config.anchor_prob:
-            raise InvalidParameterError(
-                "theory-safe single-call needs eta <= floor_e * anchor_prob")
-        return
+            return "eta", ("theory-safe single-call needs "
+                           "eta <= floor_e * anchor_prob")
+        return None
     if config.method == "extragrad":
         if problem.mu > 0:
             cap, case = e / (4.0 * L), "strongly monotone"
@@ -166,95 +167,91 @@ def _check_theory_gates(problem, config, gamma):
         else:
             cap, case = e / (2.0 * L), "monotone"
         if gamma > cap:
-            raise InvalidParameterError(
-                f"theory-safe {case} extragrad needs gamma <= {cap:g}")
+            return "gamma", f"theory-safe {case} extragrad needs gamma <= {cap:g}"
+    return None
 
 
 # ---------------------------------------------------------------------------
 # single steps
 
 
-def _sample(streams, batch):
-    return OracleSample(seed=int(streams.noise.integers(2**63)), batch=batch)
-
-
-def _clipped_cat(scaling):
-    return np.concatenate([scaling.clipped_x, scaling.clipped_y])
+def _seed(streams):
+    """Key of the next stochastic batch."""
+    return int(streams.noise.integers(2**63))
 
 
 def _pair(problem, vec):
-    return PointPair._owned(vec, problem.d_x)
+    return PointPair(vec[: problem.d_x], vec[problem.d_x :])
 
 
-def step_extragrad(problem, z, scaling, gamma, streams, batch=1):
-    """One extragradient iteration; returns (z_next, z_half, scaling_next).
+def _finite(z):
+    if not np.isfinite(z).all():
+        raise NonFiniteError("iterate entries must be finite")
+    return z
+
+
+def step_extragrad(problem, z, f_z, scaling, gamma, streams, batch=1):
+    """One extragradient iteration from the vector ``z``, whose exact field
+    F(z) the caller has evaluated into ``f_z`` (left as is); returns
+    (z_next, z_half, scaling_next).
 
     One scaling refresh per iteration from the extrapolation batch; the same
     clipped diagonal divides both half-steps.  Exactly two gradient calls.
     """
-    s_t = _sample(streams, batch)
-    g_t = gradient(problem, z, s_t)
+    g_t = add_noise(problem, f_z, _seed(streams), batch)
     scaling = advance(
         scaling, streams.precond_skip,
-        lambda: curvature_for(scaling, problem, z, g_t, s_t, streams.rademacher))
-    clipped = _clipped_cat(scaling)
-    z_vec = z.as_vector()
-    z_half = _pair(problem, z_vec - gamma * (g_t.as_vector() / clipped))
-    g_half = gradient(problem, z_half, _sample(streams, batch))
-    z_next = _pair(problem, z_vec - gamma * (g_half.as_vector() / clipped))
+        lambda: curvature_for(scaling, problem, z, g_t, streams.rademacher))
+    clipped = scaling.clipped
+    z_half = _finite(z - gamma * (g_t / clipped))
+    g_half = gradient(problem, z_half, _seed(streams), batch)
+    z_next = _finite(z - gamma * (g_half / clipped))
     return z_next, z_half, scaling
 
 
 def warm_start_single_call(problem, z0, streams, batch=1):
-    """Initial cache: gradient at z0 stands in for the half-step history."""
-    s0 = _sample(streams, batch)
-    return SingleCallCache(z_half_prev=z0, g_prev=gradient(problem, z0, s0),
-                           sample_prev=s0)
+    """Gradient at z0; the first single-call iteration reuses it, with z0
+    standing in for the previous half-step."""
+    return gradient(problem, z0, _seed(streams), batch)
 
 
-def step_single_call(problem, z, w, cache, scaling, gamma, eta, anchor_prob,
-                     streams, batch=1):
-    """One single-call iteration with negative momentum toward anchor w.
+def step_single_call(problem, z, w, z_half_prev, g_prev, scaling, gamma, eta,
+                     anchor_prob, streams, batch=1):
+    """One single-call iteration with negative momentum toward anchor w,
+    reusing the previous half-step ``z_half_prev`` and its gradient
+    ``g_prev``.
 
-    Returns (z_next, z_half, w_next, cache_next, scaling_next); exactly one
-    fresh gradient call.  The scaling refresh reuses the cached batch, so a
-    skipped refresh costs nothing.
+    Returns (z_next, z_half, w_next, g_half, scaling_next); exactly one
+    fresh gradient call.  The scaling refresh reuses the previous batch, so
+    a skipped refresh costs nothing.
     """
     scaling = advance(
         scaling, streams.precond_skip,
-        lambda: curvature_for(scaling, problem, cache.z_half_prev,
-                              cache.g_prev, cache.sample_prev,
+        lambda: curvature_for(scaling, problem, z_half_prev, g_prev,
                               streams.rademacher))
-    clipped = _clipped_cat(scaling)
-    z_vec = z.as_vector()
-    z_half = _pair(problem,
-                   z_vec - gamma * (cache.g_prev.as_vector() / clipped))
-    s_half = _sample(streams, batch)
-    g_half = gradient(problem, z_half, s_half)
-    g_vec = g_half.as_vector()
+    clipped = scaling.clipped
+    z_half = _finite(z - gamma * (g_prev / clipped))
+    g_half = gradient(problem, z_half, _seed(streams), batch)
     if eta != 0.0:
-        pull = (w.as_vector() - z_vec) / clipped
-        z_next = _pair(problem, z_vec + eta * pull - gamma * (g_vec / clipped))
+        pull = (w - z) / clipped
+        z_next = _finite(z + eta * pull - gamma * (g_half / clipped))
     else:
-        z_next = _pair(problem, z_vec - gamma * (g_vec / clipped))
+        z_next = _finite(z - gamma * (g_half / clipped))
     if anchor_prob >= 1.0 or streams.anchor.random() < anchor_prob:
         w_next = z
     else:
         w_next = w
-    return (z_next, z_half, w_next,
-            SingleCallCache(z_half, g_half, s_half), scaling)
+    return z_next, z_half, w_next, g_half, scaling
 
 
-def step_sgda(problem, z, scaling, gamma, streams, batch=1):
-    """One scaled descent-ascent step; returns (z_next, scaling_next)."""
-    s_t = _sample(streams, batch)
-    g_t = gradient(problem, z, s_t)
+def step_sgda(problem, z, f_z, scaling, gamma, streams, batch=1):
+    """One scaled descent-ascent step from ``z`` with exact field ``f_z``
+    (left as is); returns (z_next, scaling_next)."""
+    g_t = add_noise(problem, f_z, _seed(streams), batch)
     scaling = advance(
         scaling, streams.precond_skip,
-        lambda: curvature_for(scaling, problem, z, g_t, s_t, streams.rademacher))
-    z_next = _pair(problem, z.as_vector()
-                   - gamma * (g_t.as_vector() / _clipped_cat(scaling)))
-    return z_next, scaling
+        lambda: curvature_for(scaling, problem, z, g_t, streams.rademacher))
+    return _finite(z - gamma * (g_t / scaling.clipped)), scaling
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +271,9 @@ def run(problem, config, on_records=None):
     """
     gamma = resolve_gamma(problem, config)
     if config.theory_safe:
-        _check_theory_gates(problem, config, gamma)
+        failure = theory_gate_failure(problem, config, gamma)
+        if failure is not None:
+            raise InvalidParameterError(failure[1])
     if problem.z_star is None:
         raise InvalidParameterError("run needs a problem with a known z_star")
     dx, dy = problem.d_x, problem.d_y
@@ -282,11 +281,11 @@ def run(problem, config, on_records=None):
     if config.z0 is not None:
         if config.z0.d_x != dx or config.z0.d_y != dy:
             raise DimensionMismatchError("z0 does not match problem dims")
-        z = config.z0
+        z0 = config.z0
     else:
-        z = PointPair(streams.init.standard_normal(dx),
-                      streams.init.standard_normal(dy))
-    z0 = z
+        z0 = PointPair(streams.init.standard_normal(dx),
+                       streams.init.standard_normal(dy))
+    z = z0.as_vector()
     scaling = (config.scaling if config.scaling is not None
                else scaling_preset("identity", dx, dy)).spawn(dx, dy)
     z_star_vec = problem.z_star.as_vector()
@@ -301,12 +300,13 @@ def run(problem, config, on_records=None):
     lam = config.ema_lambda
     grad_calls = 0
     hvp_calls = 0
-    gbuf = np.empty(dx + dy)
+    f_z = np.empty(dx + dy)
 
     w = z
-    cache = None
+    z_half = z
+    g_prev = None
     if config.method == "single-call-momentum":
-        cache = warm_start_single_call(problem, z, streams, config.batch)
+        g_prev = warm_start_single_call(problem, z, streams, config.batch)
         grad_calls += 1
 
     def emit(chunk):
@@ -321,26 +321,32 @@ def run(problem, config, on_records=None):
         else:
             avg_u = avg_e = z0
         return Trajectory(
-            records=records, half_z=half_z[:n], final_z=final_z,
+            records=records, half_z=half_z[:n],
+            final_z=_pair(problem, final_z),
             final_avg_uniform=avg_u, final_avg_ema=avg_e,
-            grad_calls=grad_calls, hvp_calls=hvp_calls, d_x=dx,
-            config=config, scaling_trace=trace)
+            grad_calls=grad_calls, hvp_calls=hvp_calls, config=config,
+            scaling_trace=trace)
 
     for t in range(T):
         z_prev = z
         try:
+            # F(z_t) serves the record's grad_norm2 and, for extragrad and
+            # sgda, the first gradient of the step
+            field_into(problem, z_prev, f_z)
             if config.method == "extragrad":
                 z, z_half, scaling = step_extragrad(
-                    problem, z_prev, scaling, gamma, streams, config.batch)
+                    problem, z_prev, f_z, scaling, gamma, streams,
+                    config.batch)
                 grad_calls += 2
             elif config.method == "single-call-momentum":
-                z, z_half, w, cache, scaling = step_single_call(
-                    problem, z_prev, w, cache, scaling, gamma, config.eta,
-                    config.anchor_prob, streams, config.batch)
+                z, z_half, w, g_prev, scaling = step_single_call(
+                    problem, z_prev, w, z_half, g_prev, scaling, gamma,
+                    config.eta, config.anchor_prob, streams, config.batch)
                 grad_calls += 1
             else:
                 z, scaling = step_sgda(
-                    problem, z_prev, scaling, gamma, streams, config.batch)
+                    problem, z_prev, f_z, scaling, gamma, streams,
+                    config.batch)
                 z_half = z
                 grad_calls += 1
         except (NonFiniteError, FloatingPointError) as exc:
@@ -351,21 +357,18 @@ def run(problem, config, on_records=None):
         if scaling.last_fired and scaling.source == "hutchinson":
             hvp_calls += 1
         if trace is not None:
-            # clipped arrays are freshly allocated per update and never
-            # mutated afterwards, so the trace can hold references
+            # scaling arrays are read-only, so the trace can share them
             trace.append(ScalingTraceEntry(
-                scaling.last_fired, scaling.clipped_x, scaling.clipped_y))
+                scaling.last_fired, scaling.clipped, dx))
 
-        zv = z_prev.as_vector()
-        diff = zv - z_star_vec
-        field_into(problem, zv, gbuf)
+        diff = z_prev - z_star_vec
         rec = RunRecord(
             t=t,
-            r2_weighted=weighted_dist_sq(z_prev, problem.z_star, scaling),
+            r2_weighted=weighted_dist_sq(z_prev, z_star_vec, scaling),
             dist2=float(np.dot(diff, diff)),
-            grad_norm2=float(np.dot(gbuf, gbuf)),
-            dhat_min=float(min(scaling.clipped_x.min(), scaling.clipped_y.min())),
-            dhat_max=float(max(scaling.clipped_x.max(), scaling.clipped_y.max())),
+            grad_norm2=float(np.dot(f_z, f_z)),
+            dhat_min=float(scaling.clipped.min()),
+            dhat_max=float(scaling.clipped.max()),
             grad_calls=grad_calls,
         )
         records.append(rec)
@@ -374,13 +377,12 @@ def run(problem, config, on_records=None):
             emit(pending)
             pending = []
 
-        hv = z_half.as_vector()
-        half_z[t] = hv
-        sum_half += hv
-        ema_acc = hv.copy() if ema_acc is None else lam * ema_acc + (1 - lam) * hv
+        half_z[t] = z_half
+        sum_half += z_half
+        ema_acc = (z_half.copy() if ema_acc is None
+                   else lam * ema_acc + (1 - lam) * z_half)
 
-        zn = z.as_vector()
-        norm2 = float(np.dot(zn, zn))
+        norm2 = float(np.dot(z, z))
         if not np.isfinite(norm2) or norm2 > DIVERGENCE_RADIUS**2:
             emit(pending)
             raise DivergenceError(
@@ -389,30 +391,3 @@ def run(problem, config, on_records=None):
 
     emit(pending)
     return snapshot(z)
-
-
-# ---------------------------------------------------------------------------
-# averaging
-
-
-def average_uniform(traj):
-    """Arithmetic mean of the stored half-step iterates."""
-    if traj.half_z.shape[0] == 0:
-        raise InvalidParameterError("cannot average an empty trajectory")
-    m = traj.half_z.mean(axis=0)
-    return PointPair(m[: traj.d_x], m[traj.d_x :])
-
-
-def average_ema(traj, lam):
-    """Exponential moving average a_{t+1} = lam*a_t + (1-lam)*z_{t+1/2},
-    seeded with the first half-iterate."""
-    n = traj.half_z.shape[0]
-    if n == 0:
-        raise InvalidParameterError("cannot average an empty trajectory")
-    if not 0.0 <= lam < 1.0:
-        raise InvalidParameterError("lam must lie in [0, 1)")
-    k = np.arange(n)
-    wts = (1.0 - lam) * lam ** (n - 1 - k)
-    wts[0] = lam ** (n - 1)
-    m = wts @ traj.half_z
-    return PointPair(m[: traj.d_x], m[traj.d_x :])

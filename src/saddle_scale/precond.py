@@ -32,40 +32,16 @@ SCHEDULES = ("constant-beta", "adam-debias")
 CLIP_VARIANTS = ("max", "add")
 
 
-@dataclass(frozen=True)
-class CurvatureDiag:
-    """Per-coordinate curvature for one update: squared entries for the
-    squared-ema rule, signed entries for the additive-ema rule."""
-
-    hx: np.ndarray
-    hy: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "hx", np.asarray(self.hx, dtype=np.float64))
-        object.__setattr__(self, "hy", np.asarray(self.hy, dtype=np.float64))
-        if not (np.isfinite(self.hx).all() and np.isfinite(self.hy).all()):
-            raise NonFiniteError("curvature entries must be finite")
-
-    @staticmethod
-    def _owned(hx, hy):
-        """Internal fast path: wrap freshly computed float64 blocks.  Skips
-        the dtype coercion but still rejects overflow to non-finite."""
-        if not (np.isfinite(hx).all() and np.isfinite(hy).all()):
-            raise NonFiniteError("curvature entries must be finite")
-        self = object.__new__(CurvatureDiag)
-        object.__setattr__(self, "hx", hx)
-        object.__setattr__(self, "hy", hy)
-        return self
-
-
 @dataclass(frozen=True, eq=False)
 class ScalingState:
     """Immutable snapshot of the diagonal scaling.
 
-    raw_x/raw_y hold the running average (squared diagonals for squared-ema);
-    clipped_x/clipped_y are the floored entries actually dividing gradients.
-    ``t`` counts update calls, fired or skipped, so beta schedules depend
-    only on time.
+    ``raw`` holds the running average over the concatenated (x, y)
+    coordinates (squared diagonals for squared-ema); ``clipped`` holds the
+    floored entries actually dividing gradients.  Both are read-only, and
+    raw_x/raw_y/clipped_x/clipped_y are views of their first ``d_x`` and
+    remaining entries.  ``t`` counts update calls, fired or skipped, so beta
+    schedules depend only on time.
     """
 
     rule: str
@@ -74,14 +50,29 @@ class ScalingState:
     beta: float
     floor_e: float
     update_prob: float
-    raw_x: np.ndarray
-    raw_y: np.ndarray
-    clipped_x: np.ndarray
-    clipped_y: np.ndarray
+    raw: np.ndarray
+    clipped: np.ndarray
+    d_x: int
     t: int = 0
     clip_variant: str = "max"
     update_every_k: int | None = None
     last_fired: bool = False
+
+    @property
+    def raw_x(self):
+        return self.raw[: self.d_x]
+
+    @property
+    def raw_y(self):
+        return self.raw[self.d_x :]
+
+    @property
+    def clipped_x(self):
+        return self.clipped[: self.d_x]
+
+    @property
+    def clipped_y(self):
+        return self.clipped[self.d_x :]
 
     @classmethod
     def create(cls, rule, source, schedule, beta, floor_e, update_prob,
@@ -111,9 +102,8 @@ class ScalingState:
         return cls(
             rule=rule, source=source, schedule=schedule, beta=float(beta),
             floor_e=float(floor_e), update_prob=float(update_prob),
-            raw_x=np.zeros(d_x), raw_y=np.zeros(d_y),
-            clipped_x=np.full(d_x, float(floor_e)),
-            clipped_y=np.full(d_y, float(floor_e)),
+            raw=P._freeze(np.zeros(d_x + d_y)),
+            clipped=P._freeze(np.full(d_x + d_y, float(floor_e))), d_x=d_x,
             clip_variant=clip_variant, update_every_k=update_every_k,
         )
 
@@ -181,45 +171,49 @@ def beta_t(schedule, beta, t):
 
 def curvature_grad_square(g):
     """Entrywise gradient squares (squared-ema consumers)."""
-    return CurvatureDiag._owned(g.gx * g.gx, g.gy_neg * g.gy_neg)
+    return g * g
 
 
-def hutchinson_probe(p, z, v_x, v_y, s):
-    """Diagonal probe v * (H v) per block for a given sign vector."""
-    hx, hy = P.hvp(p, z, v_x, v_y, s)
-    return CurvatureDiag._owned(np.asarray(v_x) * hx, np.asarray(v_y) * hy)
+def hutchinson_probe(p, z, v):
+    """Diagonal probe v * (H v) at the concatenated iterate ``z`` for a
+    given sign vector ``v`` over both blocks."""
+    out = np.empty(v.shape[0])
+    P.hvp_into(p, z, v, out)
+    out *= v
+    return out
 
 
-def curvature_hutchinson(p, z, s, rng_stream):
+def curvature_hutchinson(p, z, rng_stream):
     """Rademacher diagonal estimate: draw v with i.i.d. +-1 entries from
-    rng_stream, return v * (H v) per block (unbiased for the diagonal).
+    rng_stream, return v * (H v) (unbiased for the diagonal).
 
     The signs come from thresholding uniforms (exactly fair on the 53-bit
     grid), which is measurably cheaper per draw than a bounded-integer
     call on this hot path.
     """
     v = np.where(rng_stream.random(p.d_x + p.d_y) < 0.5, -1.0, 1.0)
-    out = np.empty(v.shape[0])
-    P.hvp_into(p, z.as_vector(), v, out)
-    out *= v
-    return CurvatureDiag._owned(out[: p.d_x], out[p.d_x :])
+    return hutchinson_probe(p, z, v)
 
 
-def curvature_for(state, problem, z, g, s, rademacher_rng):
-    """Curvature in the representation ``state.rule`` expects.
+def curvature_for(state, problem, z, g, rademacher_rng):
+    """Curvature in the representation ``state.rule`` expects, from the
+    gradient ``g`` or from a Hessian probe at ``z``.
 
     grad-square natively produces squares; hutchinson produces signed
     entries.  The mismatched pairings convert (sqrt for additive consumers,
-    square for squared consumers).
+    square for squared consumers).  Raises NonFiniteError unless every
+    entry is finite.
     """
     if state.source == "grad-square":
         h = curvature_grad_square(g)
+        if state.rule != "squared-ema":
+            h = np.sqrt(h)
+    else:
+        h = curvature_hutchinson(problem, z, rademacher_rng)
         if state.rule == "squared-ema":
-            return h
-        return CurvatureDiag._owned(np.sqrt(h.hx), np.sqrt(h.hy))
-    h = curvature_hutchinson(problem, z, s, rademacher_rng)
-    if state.rule == "squared-ema":
-        return CurvatureDiag._owned(h.hx * h.hx, h.hy * h.hy)
+            h = h * h
+    if not np.isfinite(h).all():
+        raise NonFiniteError("curvature entries must be finite")
     return h
 
 
@@ -235,12 +229,15 @@ def _clip(rule, raw, floor_e, variant):
 
 
 def _validate_curvature(state, h):
-    if h.hx.shape != state.raw_x.shape or h.hy.shape != state.raw_y.shape:
+    h = np.asarray(h, dtype=np.float64)
+    if h.shape != state.raw.shape:
         raise DimensionMismatchError(
-            f"curvature shape ({h.hx.shape[0]},{h.hy.shape[0]}) does not match "
-            f"state ({state.raw_x.shape[0]},{state.raw_y.shape[0]})")
-    if state.rule == "squared-ema" and (np.any(h.hx < 0) or np.any(h.hy < 0)):
+            f"curvature shape {h.shape} does not match state {state.raw.shape}")
+    if not np.isfinite(h).all():
+        raise NonFiniteError("curvature entries must be finite")
+    if state.rule == "squared-ema" and np.any(h < 0):
         raise InvalidParameterError("squared-ema needs non-negative curvature")
+    return h
 
 
 def _decide_fire(state, rng_stream):
@@ -259,10 +256,12 @@ def _apply(state, h, fire):
         else:
             bp = state.beta ** (state.t + 1)
             b = (state.beta - bp) / (1.0 - bp)
-        raw_x = b * state.raw_x + (1.0 - b) * h.hx
-        raw_y = b * state.raw_y + (1.0 - b) * h.hy
+        raw = P._freeze(b * state.raw + (1.0 - b) * h)
+        clipped = P._freeze(
+            _clip(state.rule, raw, state.floor_e, state.clip_variant))
     else:
-        raw_x, raw_y = state.raw_x, state.raw_y
+        # clipping is a function of raw, so a skip keeps both arrays
+        raw, clipped = state.raw, state.clipped
     out = object.__new__(ScalingState)
     d = out.__dict__
     d["rule"] = state.rule
@@ -271,10 +270,9 @@ def _apply(state, h, fire):
     d["beta"] = state.beta
     d["floor_e"] = state.floor_e
     d["update_prob"] = state.update_prob
-    d["raw_x"] = raw_x
-    d["raw_y"] = raw_y
-    d["clipped_x"] = _clip(state.rule, raw_x, state.floor_e, state.clip_variant)
-    d["clipped_y"] = _clip(state.rule, raw_y, state.floor_e, state.clip_variant)
+    d["raw"] = raw
+    d["clipped"] = clipped
+    d["d_x"] = state.d_x
     d["t"] = state.t + 1
     d["clip_variant"] = state.clip_variant
     d["update_every_k"] = state.update_every_k
@@ -283,12 +281,13 @@ def _apply(state, h, fire):
 
 
 def update(state, h, rng_stream):
-    """Advance the scaling by one call: fire the EMA with probability
-    ``update_prob`` (one shared Bernoulli draw; p = 1 draws nothing) or on
-    the every-k schedule, then re-clip.  The time index advances either way.
+    """Advance the scaling by one call with the curvature vector ``h`` over
+    both blocks: fire the EMA with probability ``update_prob`` (one shared
+    Bernoulli draw; p = 1 draws nothing) or on the every-k schedule, then
+    re-clip.  The time index advances either way.
     """
-    _validate_curvature(state, h)
-    return _apply(state, h, _decide_fire(state, rng_stream))
+    h = _validate_curvature(state, h)
+    return advance(state, rng_stream, lambda: h)
 
 
 def advance(state, rng_stream, curvature_fn):
@@ -296,15 +295,12 @@ def advance(state, rng_stream, curvature_fn):
     fires — this keeps skipped steps free of oracle work, which is the
     point of probabilistic updates.
 
-    ``curvature_fn`` must return a CurvatureDiag matching the state's blocks
-    and representation (``curvature_for`` does); unlike ``update`` no
-    re-validation happens here beyond the constructor's finite check.
+    ``curvature_fn`` must return a finite vector matching the state's
+    length and representation (``curvature_for`` does); unlike ``update``
+    nothing is re-validated here.
     """
     fire = _decide_fire(state, rng_stream)
-    h = None
-    if fire:
-        h = curvature_fn()
-    return _apply(state, h, fire)
+    return _apply(state, curvature_fn() if fire else None, fire)
 
 
 # ---------------------------------------------------------------------------

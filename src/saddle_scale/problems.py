@@ -62,18 +62,6 @@ class PointPair:
         if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
             raise NonFiniteError("PointPair entries must be finite")
 
-    @staticmethod
-    def _owned(cat, d_x):
-        """Internal fast path: wrap a freshly allocated float64 vector that no
-        caller retains.  Skips the defensive copy but not the finite check."""
-        if not np.isfinite(cat).all():
-            raise NonFiniteError("PointPair entries must be finite")
-        self = object.__new__(PointPair)
-        object.__setattr__(self, "x", _freeze(cat[:d_x]))
-        object.__setattr__(self, "y", _freeze(cat[d_x:]))
-        object.__setattr__(self, "_cat", _freeze(cat))
-        return self
-
     @property
     def d_x(self):
         return self.x.shape[0]
@@ -89,59 +77,6 @@ class PointPair:
             cat = _freeze(np.concatenate([self.x, self.y]))
             object.__setattr__(self, "_cat", cat)
         return cat
-
-
-@dataclass(frozen=True)
-class FieldValue:
-    """Field F(z) = (grad_x f, -grad_y f), or its stochastic estimate.
-
-    ``calls`` counts the gradient-oracle invocations that produced it.
-    """
-
-    gx: np.ndarray
-    gy_neg: np.ndarray
-    calls: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "gx", _as_vector(self.gx, "gx"))
-        object.__setattr__(self, "gy_neg", _as_vector(self.gy_neg, "gy_neg"))
-        if not (np.isfinite(self.gx).all() and np.isfinite(self.gy_neg).all()):
-            raise NonFiniteError("FieldValue entries must be finite")
-        if self.calls < 0:
-            raise InvalidParameterError("calls must be non-negative")
-
-    @staticmethod
-    def _owned(cat, d_x, calls):
-        """Internal fast path for a freshly computed concatenated value."""
-        if not np.isfinite(cat).all():
-            raise NonFiniteError("FieldValue entries must be finite")
-        self = object.__new__(FieldValue)
-        object.__setattr__(self, "gx", cat[:d_x])
-        object.__setattr__(self, "gy_neg", cat[d_x:])
-        object.__setattr__(self, "calls", calls)
-        object.__setattr__(self, "_cat", cat)
-        return self
-
-    def as_vector(self):
-        cat = getattr(self, "_cat", None)
-        if cat is None:
-            cat = np.concatenate([self.gx, self.gy_neg])
-            object.__setattr__(self, "_cat", cat)
-        return cat
-
-
-@dataclass(frozen=True)
-class OracleSample:
-    """Identifies one stochastic batch xi: (seed, batch) -> reproducible draw."""
-
-    seed: int
-    batch: int = 1
-
-    def __post_init__(self):
-        if self.batch < 1:
-            raise InvalidParameterError("batch must be a positive integer")
-        if self.seed < 0:
-            raise InvalidParameterError("seed must be non-negative")
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,22 +234,19 @@ def field(p, z):
     return field_into(p, z.as_vector(), out)
 
 
-def noise_into(p, s, out):
-    """Clipped-Gaussian noise for sample ``s``, written into ``out``.
+def noise_into(p, seed, batch, out):
+    """Clipped-Gaussian noise keyed by ``seed``, written into ``out``.
 
-    Zero mean by symmetry, per-coordinate std sigma before the (rare) norm
-    clip at ``noise_bound``, scaled by 1/sqrt(batch).
+    Zero mean by symmetry, per-coordinate std sigma (> 0) before the (rare)
+    norm clip at ``noise_bound``, scaled by 1/sqrt(batch).
     """
-    if p.sigma == 0.0:
-        out[:] = 0.0
-        return out
-    rng = _sample_rng(s.seed)
+    rng = _sample_rng(seed)
     rng.standard_normal(out=out)
     out *= p.sigma
     n = np.sqrt(out @ out)
     if n > p.noise_bound:
         out *= p.noise_bound / n
-    out /= np.sqrt(s.batch)
+    out /= np.sqrt(batch)
     return out
 
 
@@ -322,38 +254,37 @@ def noise_into(p, s, out):
 # public oracle operations
 
 
-def gradient(p, z, s):
-    """Stochastic gradient oracle: F(z) + noise(s)/sqrt(batch).
+def add_noise(p, f, seed, batch):
+    """Stochastic gradient from the exact field value ``f``: f plus the
+    noise keyed by (seed, batch).
 
-    Pure in (p, z, s); increments the call counter by exactly 1.
+    Returns a new vector, or ``f`` itself on a noise-free problem; ``f`` is
+    never written.  Raises NonFiniteError unless every entry is finite.
     """
-    _check_z(p, z)
-    d = p.d_x + p.d_y
-    g = np.empty(d)
-    field_into(p, z.as_vector(), g)
+    if batch < 1:
+        raise InvalidParameterError("batch must be a positive integer")
+    if seed < 0:
+        raise InvalidParameterError("seed must be non-negative")
+    g = f
     if p.sigma > 0.0:
-        zeta = np.empty(d)
-        noise_into(p, s, zeta)
-        g += zeta
-    return FieldValue._owned(g, p.d_x, calls=1)
+        # noise + f rounds exactly like f + noise, and spares a copy of f
+        g = noise_into(p, seed, batch, np.empty(f.shape[0]))
+        g += f
+    if not np.isfinite(g).all():
+        raise NonFiniteError("gradient entries must be finite")
+    return g
 
 
-def hvp(p, z, v_x, v_y, s):
-    """Hessian-vector product per block: (A v_x, C v_y) for quadratics,
-    zeros for bilinear, analytic second derivatives for the minty example.
+def gradient(p, z, seed, batch=1):
+    """Stochastic gradient oracle at the concatenated iterate ``z``:
+    F(z) + noise(seed)/sqrt(batch), as a new finite vector.
 
-    Exact (sample-independent) under the additive noise model; ``s`` is kept
-    in the signature for oracle-interface uniformity.  Counts on a separate
-    hvp counter owned by the optimizer, not here.
+    Pure in (p, z, seed, batch); one call is one oracle call.
     """
-    _check_z(p, z)
-    v_x = _as_vector(v_x, "v_x")
-    v_y = _as_vector(v_y, "v_y")
-    if v_x.shape[0] != p.d_x or v_y.shape[0] != p.d_y:
-        raise DimensionMismatchError("hvp vector lengths do not match problem dims")
-    out = np.empty(p.d_x + p.d_y)
-    hvp_into(p, z.as_vector(), np.concatenate([v_x, v_y]), out)
-    return out[: p.d_x], out[p.d_x :]
+    if z.shape != (p.d_x + p.d_y,):
+        raise DimensionMismatchError(
+            f"iterate has shape {z.shape}, problem wants ({p.d_x + p.d_y},)")
+    return add_noise(p, field_into(p, z, np.empty(z.shape[0])), seed, batch)
 
 
 def solve_exact(p):

@@ -42,9 +42,9 @@ from .precond import (
     scaling_preset,
 )
 from .problems import (
-    OracleSample,
     PointPair,
     SaddleProblem,
+    field_into,
     make_bilinear,
     make_minty,
     make_quadratic,
@@ -164,9 +164,7 @@ def _check_scaling_range(seed):
         scaling = traj.config.scaling
         cap = _cap_for(problem, traj, scaling)
         e = scaling.floor_e
-        entries = np.hstack([
-            np.array([s.clipped_x for s in traj.scaling_trace]),
-            np.array([s.clipped_y for s in traj.scaling_trace])])
+        entries = np.array([s.clipped for s in traj.scaling_trace])
         bad = (entries < e).any(axis=1) | (entries > cap).any(axis=1)
         violations += int(np.count_nonzero(bad))
         worst = max(worst, float(entries.max()) / cap)
@@ -195,11 +193,9 @@ def _check_scaling_growth(seed):
             if cur.fired:
                 factor = 1.0 + (1.0 - beta_t(scaling.schedule, scaling.beta,
                                              k + 1)) * c_full
-                ok = (np.all(cur.clipped_x <= factor * prev.clipped_x + 1e-12)
-                      and np.all(cur.clipped_y <= factor * prev.clipped_y + 1e-12))
+                ok = np.all(cur.clipped <= factor * prev.clipped + 1e-12)
             else:
-                ok = (np.all(cur.clipped_x <= prev.clipped_x)
-                      and np.all(cur.clipped_y <= prev.clipped_y))
+                ok = np.all(cur.clipped <= prev.clipped)
             if not ok:
                 violations += 1
     return (violations == 0,
@@ -323,22 +319,24 @@ def _check_call_accounting(seed):
     big = make_quadratic(500, 500, mu=0.5, L=2.0, seed=505)
     big_scaling = scaling_preset("rmsprop", 500, 500)
     streams = RunStreams.from_seed(seed)
-    z0 = PointPair(streams.init.standard_normal(500),
-                   streams.init.standard_normal(500))
+    z0 = np.concatenate([streams.init.standard_normal(500),
+                         streams.init.standard_normal(500)])
+    f_z = np.empty(1000)
     gamma = 1e-6
 
     def eg_loop(iters):
         z, s = z0, big_scaling.spawn(500, 500)
         for _ in range(iters):
-            z, _, s = step_extragrad(big, z, s, gamma, streams)
+            z, _, s = step_extragrad(big, z, field_into(big, z, f_z), s,
+                                     gamma, streams)
 
     def sc_loop(iters):
         z, s = z0, big_scaling.spawn(500, 500)
-        cache = warm_start_single_call(big, z, streams)
+        z_half, g = z, warm_start_single_call(big, z, streams)
         w = z
         for _ in range(iters):
-            z, _, w, cache, s = step_single_call(
-                big, z, w, cache, s, gamma, 0.0, 0.25, streams)
+            z, z_half, w, g, s = step_single_call(
+                big, z, w, z_half, g, s, gamma, 0.0, 0.25, streams)
 
     def best_time(fn, iters=150, reps=3):
         fn(10)  # warm caches
@@ -368,20 +366,19 @@ def _check_hutchinson(seed):
     A = M @ M.T + 5.0 * np.eye(5)
     problem = quadratic_from_matrices(A, np.zeros((5, 5)), np.eye(5),
                                       np.zeros(5), np.zeros(5))
-    z = PointPair(np.zeros(5), np.zeros(5))
-    sample = OracleSample(seed=0)
+    z = np.zeros(10)
 
     acc = np.zeros(5)
     for signs in product([-1.0, 1.0], repeat=5):
-        acc += hutchinson_probe(problem, z, np.array(signs), np.ones(5),
-                                sample).hx
+        v = np.concatenate([signs, np.ones(5)])
+        acc += hutchinson_probe(problem, z, v)[:5]
     enum_err = float(np.abs(acc / 32.0 - np.diag(A)).max())
 
     stream = np.random.default_rng(seed)
     n = 100_000
     draws = np.empty((n, 5))
     for i in range(n):
-        draws[i] = curvature_hutchinson(problem, z, sample, stream).hx
+        draws[i] = curvature_hutchinson(problem, z, stream)[:5]
     se = draws.std(axis=0, ddof=1) / math.sqrt(n)
     dev = np.abs(draws.mean(axis=0) - np.diag(A))
     z_scores = dev / se

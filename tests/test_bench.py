@@ -208,6 +208,21 @@ def test_missing_gamma_names_field(tmp_path):
     code, _, err = run_main(["run", write_config(tmp_path, cfg)])
     assert code == 2
     assert "optimizers[0].gamma" in err
+    # a theory-safe gamma above its gate (bilinear, L = 1: 0.5) is caught
+    # once the problems are built, before any cell writes its CSV
+    cfg = minimal_config(tmp_path, optimizers=[
+        {"method": "extragrad", "T": 40, "gamma": 0.9, "theory_safe": True}])
+    code, _, err = run_main(["run", write_config(tmp_path, cfg)])
+    assert code == 2
+    assert err.startswith("config error at optimizers[0].gamma: ")
+    assert "gamma <= 0.5" in err
+    cfg["optimizers"] = [{"method": "single-call-momentum", "T": 40,
+                          "gamma": 0.05, "anchor_prob": 0.5,
+                          "theory_safe": True}]
+    code, _, err = run_main(["run", write_config(tmp_path, cfg)])
+    assert code == 2
+    assert err.startswith("config error at optimizers[0].anchor_prob: ")
+    assert not list(tmp_path.glob("out/**/*.csv"))
 
 
 def test_malformed_json_reports_position(tmp_path):

@@ -17,8 +17,6 @@ from saddle_scale.optim import (
     OptimizerConfig,
     RunStreams,
     Trajectory,
-    average_ema,
-    average_uniform,
     resolve_gamma,
     run,
     step_extragrad,
@@ -31,6 +29,8 @@ from saddle_scale.problems import (
     PointPair,
     SaddleProblem,
     field,
+    field_into,
+    gradient,
     make_bilinear,
     make_quadratic,
 )
@@ -43,6 +43,11 @@ def xy_game():
 
 def identity(d_x=1, d_y=1):
     return scaling_preset("identity", d_x, d_y)
+
+
+def F(p, z):
+    """Exact field at the concatenated iterate z, as the steps take it."""
+    return field_into(p, z, np.empty(z.shape[0]))
 
 
 def eg_reference(p, z0, gamma, T):
@@ -63,48 +68,51 @@ def eg_reference(p, z0, gamma, T):
 def test_extragrad_step_hand_simulation():
     p = xy_game()
     streams = RunStreams.from_seed(0)
-    z = PointPair([1.0], [1.0])
-    z1, zh, _ = step_extragrad(p, z, identity(), 0.1, streams)
-    np.testing.assert_allclose(zh.as_vector(), [0.9, 1.1], atol=1e-15)
-    np.testing.assert_allclose(z1.as_vector(), [0.89, 1.09], atol=1e-15)
+    z = np.array([1.0, 1.0])
+    z1, zh, _ = step_extragrad(p, z, F(p, z), identity(), 0.1, streams)
+    np.testing.assert_allclose(zh, [0.9, 1.1], atol=1e-15)
+    np.testing.assert_allclose(z1, [0.89, 1.09], atol=1e-15)
 
 
 def test_extragrad_zero_step_is_fixed_point():
     p = xy_game()
     streams = RunStreams.from_seed(0)
-    z = PointPair([1.0], [1.0])
-    z1, zh, _ = step_extragrad(p, z, identity(), 0.0, streams)
-    np.testing.assert_array_equal(z1.as_vector(), z.as_vector())
-    np.testing.assert_array_equal(zh.as_vector(), z.as_vector())
+    z = np.array([1.0, 1.0])
+    f_z = F(p, z)
+    z1, zh, _ = step_extragrad(p, z, f_z, identity(), 0.0, streams)
+    np.testing.assert_array_equal(z1, z)
+    np.testing.assert_array_equal(zh, z)
+    np.testing.assert_array_equal(f_z, [1.0, -1.0])  # left as is
 
 
 def test_single_call_step_hand_simulation():
     p = xy_game()
     streams = RunStreams.from_seed(0)
-    z0 = PointPair([1.0], [1.0])
-    cache = warm_start_single_call(p, z0, streams)
-    np.testing.assert_array_equal(cache.g_prev.as_vector(), [1.0, -1.0])
+    z0 = np.array([1.0, 1.0])
+    g0 = warm_start_single_call(p, z0, streams)
+    np.testing.assert_array_equal(g0, [1.0, -1.0])
     s = identity()
-    z1, zh0, w1, cache, s = step_single_call(
-        p, z0, z0, cache, s, gamma=0.1, eta=0.0, anchor_prob=1.0,
+    z1, zh0, w1, g1, s = step_single_call(
+        p, z0, z0, z0, g0, s, gamma=0.1, eta=0.0, anchor_prob=1.0,
         streams=streams)
-    np.testing.assert_allclose(zh0.as_vector(), [0.9, 1.1], atol=1e-15)
-    np.testing.assert_allclose(z1.as_vector(), [0.89, 1.09], atol=1e-15)
-    np.testing.assert_array_equal(w1.as_vector(), z0.as_vector())
-    z2, zh1, w2, cache, s = step_single_call(
-        p, z1, w1, cache, s, gamma=0.1, eta=0.0, anchor_prob=1.0,
+    np.testing.assert_allclose(zh0, [0.9, 1.1], atol=1e-15)
+    np.testing.assert_allclose(z1, [0.89, 1.09], atol=1e-15)
+    np.testing.assert_array_equal(w1, z0)
+    np.testing.assert_allclose(g1, [1.1, -0.9], atol=1e-15)
+    z2, zh1, w2, g2, s = step_single_call(
+        p, z1, w1, zh0, g1, s, gamma=0.1, eta=0.0, anchor_prob=1.0,
         streams=streams)
-    np.testing.assert_allclose(zh1.as_vector(), [0.78, 1.18], atol=1e-14)
-    np.testing.assert_array_equal(w2.as_vector(), z1.as_vector())
+    np.testing.assert_allclose(zh1, [0.78, 1.18], atol=1e-14)
+    np.testing.assert_array_equal(w2, z1)
 
 
 def test_sgda_step_norm_growth_identity():
     p = xy_game()
     streams = RunStreams.from_seed(0)
-    z = PointPair([1.0], [1.0])
-    z1, _ = step_sgda(p, z, identity(), 0.1, streams)
-    n0 = z.as_vector() @ z.as_vector()
-    n1 = z1.as_vector() @ z1.as_vector()
+    z = np.array([1.0, 1.0])
+    z1, _ = step_sgda(p, z, F(p, z), identity(), 0.1, streams)
+    n0 = z @ z
+    n1 = z1 @ z1
     assert n1 == pytest.approx((1 + 0.01) * n0, rel=1e-14)
 
 
@@ -113,12 +121,12 @@ def test_sgda_scalar_sc_linear_convergence():
 
     q = quadratic_from_matrices([[1.0]], [[0.0]], [[1.0]], [0.0], [0.0])
     streams = RunStreams.from_seed(0)
-    z = PointPair([1.0], [-2.0])
+    z = np.array([1.0, -2.0])
     s = identity()
     for _ in range(20):
-        z, s = step_sgda(q, z, s, 0.25, streams)
-    assert z.x[0] == pytest.approx(0.75**20, rel=1e-12)
-    assert z.y[0] == pytest.approx(-2.0 * 0.75**20, rel=1e-12)
+        z, s = step_sgda(q, z, F(q, z), s, 0.25, streams)
+    assert z[0] == pytest.approx(0.75**20, rel=1e-12)
+    assert z[1] == pytest.approx(-2.0 * 0.75**20, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -187,36 +195,36 @@ def test_run_half_iterates_and_uniform_average():
                           T=2, seed=0, z0=z0)
     traj = run(p, cfg)
     np.testing.assert_allclose(traj.half_z[0], [0.9, 1.1], atol=1e-15)
-    avg = average_uniform(traj)
-    np.testing.assert_allclose(avg.as_vector(), traj.half_z.mean(axis=0),
-                               atol=1e-15)
     np.testing.assert_allclose(traj.final_avg_uniform.as_vector(),
-                               avg.as_vector(), atol=1e-15)
+                               traj.half_z.mean(axis=0), atol=1e-15)
 
 
-def test_average_ema_limits():
+def test_running_ema_average_limits():
     p = xy_game()
-    cfg = OptimizerConfig(method="extragrad", gamma=0.1, scaling=identity(),
-                          T=5, seed=0, z0=PointPair([1.0], [1.0]))
-    traj = run(p, cfg)
+    mk = lambda lam: OptimizerConfig(
+        method="extragrad", gamma=0.1, scaling=identity(), T=5, seed=0,
+        averaging="ema", ema_lambda=lam, z0=PointPair([1.0], [1.0]))
     # lambda = 0 keeps only the newest half-iterate
-    np.testing.assert_array_equal(average_ema(traj, 0.0).as_vector(),
+    traj = run(p, mk(0.0))
+    np.testing.assert_array_equal(traj.final_avg_ema.as_vector(),
                                   traj.half_z[-1])
     # hand recursion for lambda = 0.5
+    traj = run(p, mk(0.5))
     a = traj.half_z[0].copy()
     for row in traj.half_z[1:]:
         a = 0.5 * a + 0.5 * row
-    np.testing.assert_allclose(average_ema(traj, 0.5).as_vector(), a,
-                               rtol=1e-12)
+    np.testing.assert_allclose(traj.final_avg_ema.as_vector(), a, rtol=1e-12)
 
 
-def test_average_of_empty_trajectory_rejected():
+def test_average_of_empty_trajectory_is_z0():
     p = xy_game()
+    z0 = PointPair([1.0], [-2.0])
     cfg = OptimizerConfig(method="extragrad", gamma=0.1, scaling=identity(),
-                          T=0, seed=0, z0=PointPair([1.0], [1.0]))
+                          T=0, seed=0, averaging="ema", z0=z0)
     traj = run(p, cfg)
-    with pytest.raises(InvalidParameterError):
-        average_ema(traj, 0.5)
+    assert traj.half_z.shape == (0, 2)
+    for avg in (traj.final_avg_uniform, traj.final_avg_ema):
+        np.testing.assert_array_equal(avg.as_vector(), z0.as_vector())
 
 
 def test_run_matches_reference_extragradient():
@@ -317,10 +325,8 @@ def test_record_weighted_distance_sandwich():
 def test_batch_shrinks_noise():
     p = make_quadratic(2, 2, mu=0.5, L=2.0, seed=0, sigma=1.0)
     z = PointPair([0.3, -0.1], [0.2, 0.5])
-    from saddle_scale.problems import OracleSample, gradient
-
     det = field(p, z)
-    noisy = gradient(p, z, OracleSample(seed=1, batch=10_000)).as_vector()
+    noisy = gradient(p, z.as_vector(), seed=1, batch=10_000)
     assert np.linalg.norm(noisy - det) <= p.noise_bound / 100.0 + 1e-12
 
 
@@ -422,15 +428,15 @@ def test_resolve_gamma_default_is_conservative():
 def test_anchor_prob_one_pins_anchor_to_previous_iterate():
     p = make_quadratic(2, 2, mu=0.5, L=2.0, seed=0)
     streams = RunStreams.from_seed(0)
-    z = PointPair([1.0, 1.0], [1.0, 1.0])
-    w = PointPair([9.0, 9.0], [9.0, 9.0])
-    cache = warm_start_single_call(p, z, streams)
+    z = np.ones(4)
+    w = np.full(4, 9.0)
+    g = warm_start_single_call(p, z, streams)
     s = scaling_preset("oasis", 2, 2)
-    z1, _, w1, cache, s = step_single_call(
-        p, z, w, cache, s, gamma=1e-3, eta=0.0, anchor_prob=1.0,
+    z1, zh, w1, g, s = step_single_call(
+        p, z, w, z, g, s, gamma=1e-3, eta=0.0, anchor_prob=1.0,
         streams=streams)
-    np.testing.assert_array_equal(w1.as_vector(), z.as_vector())
-    z2, _, w2, cache, s = step_single_call(
-        p, z1, w1, cache, s, gamma=1e-3, eta=0.0, anchor_prob=1.0,
+    np.testing.assert_array_equal(w1, z)
+    z2, _, w2, g, s = step_single_call(
+        p, z1, w1, zh, g, s, gamma=1e-3, eta=0.0, anchor_prob=1.0,
         streams=streams)
-    np.testing.assert_array_equal(w2.as_vector(), z1.as_vector())
+    np.testing.assert_array_equal(w2, z1)

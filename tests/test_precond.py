@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 from saddle_scale.errors import (
     DimensionMismatchError,
     InvalidParameterError,
+    NonFiniteError,
     PreconditionError,
 )
 from saddle_scale.precond import (
-    CurvatureDiag,
     ScalingState,
     beta_t,
     curvature_grad_square,
+    curvature_for,
     curvature_hutchinson,
     gamma_bound,
     growth_constant,
@@ -33,13 +34,7 @@ from saddle_scale.precond import (
     scaling_preset,
     update,
 )
-from saddle_scale.problems import (
-    FieldValue,
-    OracleSample,
-    PointPair,
-    make_bilinear,
-    quadratic_from_matrices,
-)
+from saddle_scale.problems import make_bilinear, quadratic_from_matrices
 
 
 def mk_state(rule="squared-ema", source="grad-square", schedule="constant-beta",
@@ -48,6 +43,11 @@ def mk_state(rule="squared-ema", source="grad-square", schedule="constant-beta",
         rule=rule, source=source, schedule=schedule, beta=beta,
         floor_e=floor_e, update_prob=update_prob, d_x=d_x, d_y=d_y, **kw,
     )
+
+
+def cat(hx, hy):
+    """Curvature vector over both blocks."""
+    return np.concatenate([np.asarray(hx, float), np.asarray(hy, float)])
 
 
 def zero_quadratic(A, C=None):
@@ -111,43 +111,36 @@ def test_beta_t_debias_increases_towards_beta():
 
 
 def test_grad_square_squares_entrywise():
-    g = FieldValue(gx=np.array([3.0]), gy_neg=np.array([-2.0]))
-    h = curvature_grad_square(g)
-    assert h.hx[0] == 9.0 and h.hy[0] == 4.0
+    h = curvature_grad_square(np.array([3.0, -2.0]))
+    assert h[0] == 9.0 and h[1] == 4.0
 
 
 def test_grad_square_zero():
-    g = FieldValue(gx=np.zeros(3), gy_neg=np.zeros(2))
-    h = curvature_grad_square(g)
-    assert not h.hx.any() and not h.hy.any()
+    h = curvature_grad_square(np.zeros(5))
+    assert h.shape == (5,) and not h.any()
 
 
 def test_grad_square_small_values_stay_exact():
-    g = FieldValue(gx=np.array([1e-8]), gy_neg=np.array([1e-8]))
-    h = curvature_grad_square(g)
+    h = curvature_grad_square(np.array([1e-8, 1e-8]))
     # squares of tiny gradients stay normal (no subnormal underflow)
-    assert h.hx[0] == pytest.approx(1e-16, rel=1e-15)
-    assert h.hy[0] == pytest.approx(1e-16, rel=1e-15)
-    assert h.hx[0] >= np.finfo(float).tiny
+    assert h[0] == pytest.approx(1e-16, rel=1e-15)
+    assert h[1] == pytest.approx(1e-16, rel=1e-15)
+    assert h[0] >= np.finfo(float).tiny
 
 
 def test_hutchinson_probe_identity_hessian_is_exact():
     p = zero_quadratic(np.eye(2))
-    z = PointPair(np.zeros(2), np.zeros(2))
-    s = OracleSample(seed=0)
+    z = np.zeros(4)
     for vx, vy in itertools.product([(1, 1), (1, -1), (-1, 1), (-1, -1)], repeat=2):
-        h = hutchinson_probe(p, z, np.array(vx, float), np.array(vy, float), s)
-        np.testing.assert_array_equal(h.hx, np.ones(2))
-        np.testing.assert_array_equal(h.hy, np.ones(2))
+        h = hutchinson_probe(p, z, cat(vx, vy))
+        np.testing.assert_array_equal(h, np.ones(4))
 
 
 def test_hutchinson_probe_hand_value():
     # A = [[2,1],[1,3]], v = (1,-1): v * (Av) = (1*(2-1), -1*(1-3)) = (1, 2)
     p = zero_quadratic(np.array([[2.0, 1.0], [1.0, 3.0]]), np.eye(2))
-    z = PointPair(np.zeros(2), np.zeros(2))
-    v = np.array([1.0, -1.0])
-    h = hutchinson_probe(p, z, v, np.ones(2), OracleSample(seed=0))
-    np.testing.assert_array_equal(h.hx, np.array([1.0, 2.0]))
+    h = hutchinson_probe(p, np.zeros(4), cat([1.0, -1.0], np.ones(2)))
+    np.testing.assert_array_equal(h[:2], np.array([1.0, 2.0]))
 
 
 def test_hutchinson_enumeration_reproduces_diagonal():
@@ -155,12 +148,11 @@ def test_hutchinson_enumeration_reproduces_diagonal():
     M = rng.standard_normal((5, 5))
     A = M @ M.T + 5 * np.eye(5)
     p = zero_quadratic(A, np.eye(5))
-    z = PointPair(np.zeros(5), np.zeros(5))
-    s = OracleSample(seed=0)
+    z = np.zeros(10)
     acc = np.zeros(5)
     signs = list(itertools.product([-1.0, 1.0], repeat=5))
     for v in signs:
-        acc += hutchinson_probe(p, z, np.array(v), np.ones(5), s).hx
+        acc += hutchinson_probe(p, z, cat(v, np.ones(5)))[:5]
     np.testing.assert_allclose(acc / len(signs), np.diag(A), atol=1e-12)
 
 
@@ -169,12 +161,12 @@ def test_hutchinson_monte_carlo_mean_within_three_se():
     M = rng.standard_normal((5, 5))
     A = M @ M.T + 5 * np.eye(5)
     p = zero_quadratic(A, np.eye(5))
-    z = PointPair(np.zeros(5), np.zeros(5))
+    z = np.zeros(10)
     stream = np.random.default_rng(12345)
     n = 100_000
     samples = np.empty((n, 5))
     for i in range(n):
-        samples[i] = curvature_hutchinson(p, z, OracleSample(seed=i), stream).hx
+        samples[i] = curvature_hutchinson(p, z, stream)[:5]
     mean = samples.mean(axis=0)
     se = samples.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(mean - np.diag(A)) <= 3.0 * se + 1e-12)
@@ -185,13 +177,13 @@ def test_hutchinson_draws_are_signs():
     # only values a Rademacher draw can produce are 1 and 3 - and a correct
     # sampler produces both.
     p = zero_quadratic(np.array([[2.0, 1.0], [1.0, 2.0]]), np.eye(2))
-    z = PointPair(np.zeros(2), np.zeros(2))
+    z = np.zeros(4)
     stream = np.random.default_rng(0)
     vals = set()
     for i in range(200):
-        h = curvature_hutchinson(p, z, OracleSample(seed=i), stream)
-        assert h.hx[0] in (1.0, 3.0)
-        vals.add(h.hx[0])
+        h = curvature_hutchinson(p, z, stream)
+        assert h[0] in (1.0, 3.0)
+        vals.add(h[0])
     assert vals == {1.0, 3.0}
 
 
@@ -250,7 +242,7 @@ def test_identity_preset_never_moves():
     assert s.beta == 1.0 and s.floor_e == 1.0
     rng = np.random.default_rng(0)
     for k in range(5):
-        h = CurvatureDiag(hx=np.full(2, 100.0), hy=np.full(2, 100.0))
+        h = cat(np.full(2, 100.0), np.full(2, 100.0))
         s = update(s, h, rng)
     np.testing.assert_array_equal(s.clipped_x, np.ones(2))
     np.testing.assert_array_equal(s.clipped_y, np.ones(2))
@@ -264,7 +256,7 @@ def test_unknown_preset():
 def test_spawn_gives_fresh_state():
     s = scaling_preset("oasis", d_x=2, d_y=2)
     rng = np.random.default_rng(0)
-    s = update(s, CurvatureDiag(hx=np.ones(2), hy=np.ones(2)), rng)
+    s = update(s, cat(np.ones(2), np.ones(2)), rng)
     child = s.spawn(d_x=5, d_y=6)
     assert child.t == 0
     assert child.raw_x.shape == (5,) and child.raw_y.shape == (6,)
@@ -280,9 +272,9 @@ def test_spawn_gives_fresh_state():
 def test_update_squared_ema_one_step():
     # beta_t = 0.5, (D^2)_prev = 4, H^2 = 16 -> D^2 = 10, clipped = sqrt(10)
     s = mk_state(rule="squared-ema", beta=0.5, floor_e=0.01)
-    s = dataclasses.replace(s, raw_x=np.array([4.0]), raw_y=np.array([4.0]))
+    s = dataclasses.replace(s, raw=np.array([4.0, 4.0]))
     rng = np.random.default_rng(0)
-    s2 = update(s, CurvatureDiag(hx=np.array([16.0]), hy=np.array([16.0])), rng)
+    s2 = update(s, cat(np.array([16.0]), np.array([16.0])), rng)
     assert s2.raw_x[0] == 10.0
     assert abs(s2.clipped_x[0] - np.sqrt(10.0)) < 1e-15
     assert s2.t == s.t + 1
@@ -290,9 +282,9 @@ def test_update_squared_ema_one_step():
 
 def test_update_additive_ema_one_step():
     s = mk_state(rule="additive-ema", beta=0.9, floor_e=0.01)
-    s = dataclasses.replace(s, raw_x=np.array([1.0]), raw_y=np.array([1.0]))
+    s = dataclasses.replace(s, raw=np.array([1.0, 1.0]))
     rng = np.random.default_rng(0)
-    s2 = update(s, CurvatureDiag(hx=np.array([-1.0]), hy=np.array([-2.0])), rng)
+    s2 = update(s, cat(np.array([-1.0]), np.array([-2.0])), rng)
     assert abs(s2.raw_x[0] - 0.8) < 1e-15
     assert abs(s2.raw_y[0] - 0.7) < 1e-15
     assert abs(s2.clipped_x[0] - 0.8) < 1e-15
@@ -302,7 +294,7 @@ def test_update_clips_at_floor_with_absolute_value():
     # constant beta = 0 copies h into raw; raw (-0.005, 0.02), e = 0.01
     s = mk_state(rule="additive-ema", beta=0.0, floor_e=0.01, d_x=1, d_y=1)
     rng = np.random.default_rng(0)
-    s2 = update(s, CurvatureDiag(hx=np.array([-0.005]), hy=np.array([0.02])), rng)
+    s2 = update(s, cat(np.array([-0.005]), np.array([0.02])), rng)
     assert s2.clipped_x[0] == 0.01
     assert s2.clipped_y[0] == 0.02
 
@@ -310,7 +302,7 @@ def test_update_clips_at_floor_with_absolute_value():
 def test_update_add_clip_variant():
     s = mk_state(rule="additive-ema", beta=0.0, floor_e=0.01, clip_variant="add")
     rng = np.random.default_rng(0)
-    s2 = update(s, CurvatureDiag(hx=np.array([-0.005]), hy=np.array([0.02])), rng)
+    s2 = update(s, cat(np.array([-0.005]), np.array([0.02])), rng)
     assert abs(s2.clipped_x[0] - 0.015) < 1e-18
     assert abs(s2.clipped_y[0] - 0.03) < 1e-18
 
@@ -319,7 +311,7 @@ def test_update_debias_first_step_ignores_history():
     # adam-debias beta_0 = 0: raw after first update equals h exactly
     s = mk_state(schedule="adam-debias", beta=0.999, floor_e=1e-8)
     rng = np.random.default_rng(0)
-    s2 = update(s, CurvatureDiag(hx=np.array([7.0]), hy=np.array([11.0])), rng)
+    s2 = update(s, cat(np.array([7.0]), np.array([11.0])), rng)
     assert s2.raw_x[0] == 7.0 and s2.raw_y[0] == 11.0
 
 
@@ -327,14 +319,48 @@ def test_update_rejects_shape_mismatch():
     s = mk_state(d_x=2, d_y=2)
     rng = np.random.default_rng(0)
     with pytest.raises(DimensionMismatchError):
-        update(s, CurvatureDiag(hx=np.ones(3), hy=np.ones(2)), rng)
+        update(s, cat(np.ones(3), np.ones(2)), rng)
 
 
 def test_update_squared_rejects_negative_curvature():
     s = mk_state(rule="squared-ema")
     rng = np.random.default_rng(0)
     with pytest.raises(InvalidParameterError):
-        update(s, CurvatureDiag(hx=np.array([-1.0]), hy=np.array([1.0])), rng)
+        update(s, cat(np.array([-1.0]), np.array([1.0])), rng)
+
+
+def test_update_rejects_non_finite_curvature():
+    s = mk_state(rule="additive-ema")
+    rng = np.random.default_rng(0)
+    with pytest.raises(NonFiniteError):
+        update(s, cat([np.nan], [1.0]), rng)
+
+
+def test_curvature_for_rejects_overflowing_squares():
+    s = mk_state(rule="squared-ema", source="grad-square")
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        curvature_for(s, None, None, np.array([1e200, 1.0]), None)
+
+
+def test_state_blocks_are_read_only_views():
+    s = mk_state(rule="additive-ema", beta=0.0, d_x=2, d_y=1)
+    s = update(s, cat([0.5, -3.0], [2.0]), np.random.default_rng(0))
+    np.testing.assert_array_equal(s.raw, [0.5, -3.0, 2.0])
+    np.testing.assert_array_equal(s.raw_x, [0.5, -3.0])
+    np.testing.assert_array_equal(s.clipped_y, [2.0])
+    for block in (s.raw, s.clipped, s.raw_x, s.raw_y, s.clipped_x,
+                  s.clipped_y):
+        assert not block.flags.writeable
+    assert np.shares_memory(s.clipped_x, s.clipped)
+
+
+def test_skipped_update_keeps_previous_arrays():
+    s = mk_state(rule="additive-ema", beta=0.5, update_every_k=2)
+    rng = np.random.default_rng(0)
+    fired = update(s, cat([1.0], [1.0]), rng)
+    skipped = update(fired, cat([5.0], [5.0]), rng)
+    assert fired.last_fired and not skipped.last_fired
+    assert skipped.raw is fired.raw and skipped.clipped is fired.clipped
 
 
 def test_update_every_k_fires_on_schedule():
@@ -342,7 +368,7 @@ def test_update_every_k_fires_on_schedule():
     rng = np.random.default_rng(0)
     fired = []
     for _ in range(9):
-        s = update(s, CurvatureDiag(hx=np.array([1.0]), hy=np.array([1.0])), rng)
+        s = update(s, cat(np.array([1.0]), np.array([1.0])), rng)
         fired.append(s.last_fired)
     assert fired == [True, False, False, True, False, False, True, False, False]
     assert s.t == 9
@@ -352,7 +378,7 @@ def test_probabilistic_update_consumes_one_draw_and_skips_carry_raw():
     s = mk_state(rule="additive-ema", beta=0.5, update_prob=0.5)
     rng = np.random.default_rng(77)
     ref = np.random.default_rng(77)
-    h = CurvatureDiag(hx=np.array([1.0]), hy=np.array([1.0]))
+    h = cat(np.array([1.0]), np.array([1.0]))
     n_fired = 0
     for _ in range(400):
         prev_raw = s.raw_x[0]
@@ -371,7 +397,7 @@ def test_deterministic_update_consumes_no_randomness():
     s = mk_state(update_prob=1.0)
     rng = np.random.default_rng(5)
     for _ in range(10):
-        s = update(s, CurvatureDiag(hx=np.array([1.0]), hy=np.array([1.0])), rng)
+        s = update(s, cat(np.array([1.0]), np.array([1.0])), rng)
         assert s.last_fired
     assert rng.random() == np.random.default_rng(5).random()
 
@@ -380,7 +406,7 @@ def test_clipping_is_idempotent_after_every_update():
     rng = np.random.default_rng(4)
     s = mk_state(rule="additive-ema", beta=0.8, floor_e=0.05, d_x=6, d_y=4)
     for _ in range(50):
-        h = CurvatureDiag(hx=rng.standard_normal(6), hy=rng.standard_normal(4))
+        h = cat(rng.standard_normal(6), rng.standard_normal(4))
         s = update(s, h, rng)
         np.testing.assert_array_equal(
             s.clipped_x, np.maximum(s.floor_e, np.abs(s.raw_x)))
@@ -474,7 +500,7 @@ def test_range_bound_along_random_trajectory(rule, p_up):
         else:
             hx = hgen.uniform(-gamma_cap, gamma_cap, 4) * (1 - 1e-9)
             hy = hgen.uniform(-gamma_cap, gamma_cap, 3) * (1 - 1e-9)
-        s = update(s, CurvatureDiag(hx=hx, hy=hy), rng)
+        s = update(s, cat(hx, hy), rng)
         for c in (s.clipped_x, s.clipped_y):
             assert c.min() >= e
             assert c.max() <= gamma_cap
@@ -491,11 +517,11 @@ def test_per_step_growth_bound(rule):
         factor = growth_factor(dataclasses.replace(s, update_prob=1.0), gamma_cap)
         prev_x, prev_y = s.clipped_x.copy(), s.clipped_y.copy()
         if rule == "squared-ema":
-            h = CurvatureDiag(hx=hgen.uniform(0, gamma_cap**2, 4),
-                              hy=hgen.uniform(0, gamma_cap**2, 3))
+            h = cat(hgen.uniform(0, gamma_cap**2, 4),
+                    hgen.uniform(0, gamma_cap**2, 3))
         else:
-            h = CurvatureDiag(hx=hgen.uniform(-gamma_cap, gamma_cap, 4),
-                              hy=hgen.uniform(-gamma_cap, gamma_cap, 3))
+            h = cat(hgen.uniform(-gamma_cap, gamma_cap, 4),
+                    hgen.uniform(-gamma_cap, gamma_cap, 3))
         s = update(s, h, rng)
         if s.last_fired:
             assert np.all(s.clipped_x <= factor * prev_x + 1e-12)
@@ -513,8 +539,8 @@ def test_range_bound_property(beta, e, seed):
     rng = np.random.default_rng(seed)
     hgen = np.random.default_rng(seed + 1)
     for _ in range(60):
-        h = CurvatureDiag(hx=hgen.uniform(-cap, cap, 2) * (1 - 1e-9),
-                          hy=hgen.uniform(-cap, cap, 2) * (1 - 1e-9))
+        h = cat(hgen.uniform(-cap, cap, 2) * (1 - 1e-9),
+                hgen.uniform(-cap, cap, 2) * (1 - 1e-9))
         s = update(s, h, rng)
         assert s.clipped_x.min() >= e and s.clipped_x.max() <= cap
         assert s.clipped_y.min() >= e and s.clipped_y.max() <= cap

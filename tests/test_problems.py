@@ -21,13 +21,11 @@ from saddle_scale.errors import (
     PreconditionError,
 )
 from saddle_scale.problems import (
-    FieldValue,
-    OracleSample,
     PointPair,
     SaddleProblem,
     field,
     gradient,
-    hvp,
+    hvp_into,
     make_bilinear,
     make_minty,
     make_quadratic,
@@ -60,7 +58,7 @@ def field_oracle(p, x, y):
 
 
 # ---------------------------------------------------------------------------
-# PointPair / FieldValue / OracleSample basics
+# PointPair and gradient basics
 
 
 def test_pointpair_rejects_non_finite():
@@ -71,15 +69,24 @@ def test_pointpair_rejects_non_finite():
 
 
 def test_oraclesample_validation():
+    p = make_quadratic(2, 2, 0.5, 1.0, seed=0, sigma=0.1)
     with pytest.raises(InvalidParameterError):
-        OracleSample(seed=1, batch=0)
+        gradient(p, np.zeros(4), seed=1, batch=0)
+    with pytest.raises(InvalidParameterError):
+        gradient(p, np.zeros(4), seed=-1)
 
 
 def test_fieldvalue_zero_at_solution():
     p = make_quadratic(3, 2, 1.0, 5.0, seed=12)
-    g = gradient(p, p.z_star, OracleSample(seed=0, batch=1))
-    assert np.linalg.norm(np.concatenate([g.gx, g.gy_neg])) <= 1e-12
-    assert g.calls == 1
+    g = gradient(p, p.z_star.as_vector(), seed=0, batch=1)
+    assert g.shape == (5,)
+    assert np.linalg.norm(g) <= 1e-12
+
+
+def test_gradient_rejects_non_finite():
+    p = make_bilinear(1, 1.0, seed=0)
+    with pytest.raises(NonFiniteError):
+        gradient(p, np.array([1.0, np.inf]), seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +159,9 @@ def test_recomputed_constants_bracket_inputs():
 
 def test_bilinear_scalar_field():
     p = make_bilinear(1, 1.0, seed=0)
-    g = gradient(p, PointPair(np.array([2.0]), np.array([3.0])),
-                 OracleSample(seed=0, batch=1))
-    assert g.gx[0] == pytest.approx(3.0, abs=0)
-    assert g.gy_neg[0] == pytest.approx(-2.0, abs=0)
+    g = gradient(p, np.array([2.0, 3.0]), seed=0, batch=1)
+    assert g[0] == pytest.approx(3.0, abs=0)
+    assert g[1] == pytest.approx(-2.0, abs=0)
 
 
 def test_bilinear_top_singular_value_pinned():
@@ -167,11 +173,14 @@ def test_bilinear_top_singular_value_pinned():
     assert np.all(z.x == 0.0) and np.all(z.y == 0.0)
 
 
+def hvp_of(p, z, v):
+    return hvp_into(p, z, v, np.full(v.shape[0], np.nan))
+
+
 def test_bilinear_hvp_is_zero():
     p = make_bilinear(3, 2.0, seed=4)
-    hx, hy = hvp(p, PointPair(np.ones(3), np.ones(3)), np.ones(3), np.ones(3),
-                 OracleSample(seed=0, batch=1))
-    assert np.all(hx == 0.0) and np.all(hy == 0.0)
+    h = hvp_of(p, np.ones(6), np.ones(6))
+    assert np.all(h == 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,25 +190,25 @@ def test_bilinear_hvp_is_zero():
 def test_hvp_identity_hessian():
     p = quadratic_from_matrices(np.eye(2), np.zeros((2, 2)), np.eye(2),
                                 np.zeros(2), np.zeros(2))
-    hx, _ = hvp(p, PointPair(np.zeros(2), np.zeros(2)),
-                np.array([1.0, 2.0]), np.zeros(2), OracleSample(0, 1))
-    assert np.array_equal(hx, np.array([1.0, 2.0]))
+    h = hvp_of(p, np.zeros(4), np.array([1.0, 2.0, 0.0, 0.0]))
+    assert np.array_equal(h[:2], np.array([1.0, 2.0]))
 
 
 def test_hvp_direct_matvec():
     A = np.array([[2.0, 1.0], [1.0, 3.0]])
     p = quadratic_from_matrices(A, np.zeros((2, 2)), np.eye(2),
                                 np.zeros(2), np.zeros(2))
-    hx, _ = hvp(p, PointPair(np.zeros(2), np.zeros(2)),
-                np.array([1.0, -1.0]), np.zeros(2), OracleSample(0, 1))
-    assert np.array_equal(hx, np.array([1.0, -2.0]))
+    h = hvp_of(p, np.zeros(4), np.array([1.0, -1.0, 0.0, 0.0]))
+    assert np.array_equal(h[:2], np.array([1.0, -2.0]))
 
 
-def test_hvp_dimension_mismatch():
-    p = make_quadratic(2, 2, 0.5, 1.0, seed=0)
-    with pytest.raises(DimensionMismatchError):
-        hvp(p, PointPair(np.zeros(2), np.zeros(2)), np.zeros(3), np.zeros(2),
-            OracleSample(0, 1))
+def test_hvp_minty_is_analytic_second_derivative():
+    p = make_minty(seed=2)
+    z = np.array([0.4, -1.3])
+    h = hvp_of(p, z, np.array([1.0, -2.0]))
+    np.testing.assert_allclose(h, [1.0 + p.alpha * np.cos(0.4),
+                                   -2.0 * (1.0 + p.alpha * np.cos(-1.3))],
+                               rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +238,8 @@ def test_minty_is_not_monotone():
 
 def test_minty_solution_and_field():
     p = make_minty(seed=0)
-    g = gradient(p, p.z_star, OracleSample(0, 1))
-    assert abs(g.gx[0]) <= 1e-14 and abs(g.gy_neg[0]) <= 1e-14
+    g = gradient(p, p.z_star.as_vector(), seed=0)
+    assert abs(g[0]) <= 1e-14 and abs(g[1]) <= 1e-14
 
 
 def test_verify_minty_on_bilinear_and_quadratic():
@@ -259,13 +268,12 @@ def test_verify_minty_preconditions():
 
 def test_gradient_deterministic_given_seed():
     p = make_quadratic(3, 3, 0.5, 2.0, seed=1, sigma=1.0)
-    z = PointPair(np.ones(3), -np.ones(3))
-    g1 = gradient(p, z, OracleSample(seed=99, batch=4))
-    g2 = gradient(p, z, OracleSample(seed=99, batch=4))
-    assert np.array_equal(g1.gx, g2.gx)
-    assert np.array_equal(g1.gy_neg, g2.gy_neg)
-    g3 = gradient(p, z, OracleSample(seed=100, batch=4))
-    assert not np.array_equal(g1.gx, g3.gx)
+    z = np.concatenate([np.ones(3), -np.ones(3)])
+    g1 = gradient(p, z, seed=99, batch=4)
+    g2 = gradient(p, z, seed=99, batch=4)
+    assert np.array_equal(g1, g2)
+    g3 = gradient(p, z, seed=100, batch=4)
+    assert not np.array_equal(g1[:3], g3[:3])
 
 
 def test_gradient_noise_is_norm_bounded():
@@ -274,8 +282,8 @@ def test_gradient_noise_is_norm_bounded():
     z = PointPair(np.zeros(3), np.zeros(3))
     f = field(p, z)
     for seed in range(200):
-        g = gradient(p, z, OracleSample(seed=seed, batch=4))
-        noise = np.concatenate([g.gx, g.gy_neg]) - f
+        g = gradient(p, z.as_vector(), seed=seed, batch=4)
+        noise = g - f
         assert np.linalg.norm(noise) <= p.noise_bound / np.sqrt(4) + 1e-12
 
 
@@ -287,8 +295,7 @@ def test_gradient_monte_carlo_mean():
     f = field(p, z)
     acc = np.zeros(4)
     for seed in range(n):
-        g = gradient(p, z, OracleSample(seed=seed, batch=b))
-        acc += np.concatenate([g.gx, g.gy_neg])
+        acc += gradient(p, z.as_vector(), seed=seed, batch=b)
     mean = acc / n
     band = 3 * (sigma / np.sqrt(b)) / np.sqrt(n)
     assert np.all(np.abs(mean - f) <= band)
@@ -297,7 +304,7 @@ def test_gradient_monte_carlo_mean():
 def test_gradient_validation():
     p = make_quadratic(2, 2, 0.5, 1.0, seed=0)
     with pytest.raises(DimensionMismatchError):
-        gradient(p, PointPair(np.zeros(3), np.zeros(2)), OracleSample(0, 1))
+        gradient(p, np.zeros(5), seed=0)
 
 
 # ---------------------------------------------------------------------------
