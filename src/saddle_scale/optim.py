@@ -222,8 +222,8 @@ def step_single_call(problem, z, w, z_half_prev, g_prev, scaling, gamma, eta,
     ``g_prev``.
 
     Returns (z_next, z_half, w_next, g_half, scaling_next); exactly one
-    fresh gradient call.  The scaling refresh reuses the previous batch, so
-    a skipped refresh costs nothing.
+    fresh gradient call.  The scaling refresh reuses ``g_prev``, so a
+    skipped refresh costs nothing.
     """
     scaling = advance(
         scaling, streams.precond_skip,
