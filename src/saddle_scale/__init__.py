@@ -69,13 +69,11 @@ from .problems import (
     make_bilinear,
     make_minty,
     make_quadratic,
-    problem_from_json,
-    problem_to_json,
     quadratic_from_matrices,
     solve_exact,
     verify_minty,
 )
-from .verify import CheckResult, check_names, run_all, run_check
+from .verify import CheckResult, run_all, run_check
 
 __version__ = "0.1.0"
 
@@ -86,14 +84,13 @@ __all__ = [
     "NoUniqueSolutionError", "NonFiniteError", "OptimizerConfig",
     "PRESET_NAMES", "PointPair", "PreconditionError", "RULES", "RunRecord",
     "RunStreams", "SCHEDULES", "SOURCES", "SaddleProblem", "SaddleScaleError",
-    "ScalingState", "Trajectory", "advance", "beta_t", "check_names",
+    "ScalingState", "Trajectory", "advance", "beta_t",
     "check_scalar_inequality", "contraction_check", "curvature_grad_square",
     "curvature_hutchinson", "field", "fit_rate", "gamma_bound",
     "gap_restricted", "gradient", "growth_constant", "growth_factor",
     "hutchinson_probe", "make_bilinear", "make_minty", "make_quadratic",
-    "noise_floor", "problem_from_json", "problem_to_json",
-    "quadratic_from_matrices", "resolve_gamma", "run", "run_all", "run_check",
-    "scaling_preset", "solve_exact", "step_extragrad", "step_sgda",
-    "step_single_call", "update", "verify_minty", "warm_start_single_call",
-    "weighted_dist_sq",
+    "noise_floor", "quadratic_from_matrices", "resolve_gamma", "run",
+    "run_all", "run_check", "scaling_preset", "solve_exact", "step_extragrad",
+    "step_sgda", "step_single_call", "update", "verify_minty",
+    "warm_start_single_call", "weighted_dist_sq",
 ]

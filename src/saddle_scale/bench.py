@@ -14,11 +14,9 @@ input was malformed.
 """
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import operator
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,7 +57,6 @@ EXIT_USAGE = 2
 
 CSV_HEADER = "t,r2_weighted,dist2,grad_norm2,gap,dhat_min,dhat_max,grad_calls"
 DEFAULT_MASTER_SEED = 42
-THREADS_ENV = "SADDLE_SCALE_THREADS"
 
 TRANSFORMS = ("none", "log10", "log")
 
@@ -273,7 +270,11 @@ _OPTIMIZER = Table({
     "eta": Field("number", 0.0, bounds=((">=", 0),)),
     "anchor_prob": Field("number", 0.25, bounds=((">", 0), ("<=", 1))),
     "batch": Field("integer", 1, bounds=((">=", 1),)),
-    "averaging": Field("string", "uniform", enum=AVERAGING),
+    "averaging": Field("string", "uniform", enum=AVERAGING,
+                       doc="point whose final_gap the summary reports: "
+                           "none the last iterate z_T, uniform the mean of "
+                           "the half-step iterates, ema their exponential "
+                           "average with weight ema_lambda"),
     "ema_lambda": Field("number", 0.999, bounds=((">=", 0), ("<", 1))),
     "theory_safe": Field("boolean", False),
     "expect_divergence": Field("boolean", False),
@@ -376,19 +377,20 @@ def _write_rows(fh, chunk):
     fh.write("\n".join(lines) + "\n")
 
 
-def _final_gap(problem, traj, averaging, ema_lambda):
-    """Restricted gap of the configured average, on a ball big enough for
-    both the solution and everything the run visited; None when the problem
-    has no gap notion or the run never moved."""
+def _final_gap(problem, traj, averaging):
+    """Restricted gap of the configured output point (the last iterate for
+    "none", else the uniform or EMA average), on a ball big enough for both
+    the solution and everything the run visited; None when the problem has
+    no gap notion or the run never moved."""
     if not traj.records:
         return None
-    z_avg = (traj.final_avg_uniform if averaging == "uniform"
-             else traj.final_avg_ema)
+    z_out = {"none": traj.final_z, "uniform": traj.final_avg_uniform,
+             "ema": traj.final_avg_ema}[averaging]
     zs = problem.z_star
     omega = (max(float(np.linalg.norm(zs.x)), float(np.linalg.norm(zs.y)))
              + 2.0 * float(np.sqrt(max(r.dist2 for r in traj.records))) + 1.0)
     try:
-        return gap_restricted(problem, z_avg, omega)
+        return gap_restricted(problem, z_out, omega)
     except (CapabilityError, PreconditionError):
         return None
 
@@ -431,8 +433,7 @@ def run_cell(resolved, digest, out_dir, cell, problem):
         "hvp_calls": traj.hvp_calls,
         "final_dist2": float(final @ final),
         "final_gap": (None if diverged
-                      else _final_gap(problem, traj, ospec["averaging"],
-                                      ospec["ema_lambda"])),
+                      else _final_gap(problem, traj, ospec["averaging"])),
         "runtime_s": runtime,
     }
     if note is not None:
@@ -440,30 +441,18 @@ def run_cell(resolved, digest, out_dir, cell, problem):
     return entry
 
 
-def _pool_size(n_cells):
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return max(1, min(n_cells, os.cpu_count() or 1))
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigError(THREADS_ENV, f"must be a positive integer, got {raw!r}")
-    if workers < 1:
-        raise ConfigError(THREADS_ENV, "must be a positive integer")
-    return min(workers, max(1, n_cells))
-
-
 def run_suite(resolved, echo=print):
-    """Execute every cell of a resolved config; returns (summary, exit_code).
+    """Execute every cell of a resolved config, one after another in cell
+    order; returns (summary, exit_code).
 
-    Cell outputs depend only on the resolved config, never on worker count
-    or scheduling, so serial and parallel runs emit identical files.
+    Cell outputs depend only on the resolved config and each cell's derived
+    seed, never on the order in which cells run.
     """
     digest = suite_digest(resolved)
     echo(f"suite {resolved['name']}: master seed {resolved['master_seed']}, "
          f"digest {digest}")
-    # problems are immutable and their noise generator is thread-local, so
-    # each is built once and shared by all of its cells
+    # problems are immutable and each oracle call rekeys its noise, so each
+    # problem is built once and shared by all of its cells
     problems = [build_problem(p) for p in resolved["problems"]]
     _check_theory_gates(resolved, problems)
     out_dir = Path(resolved["output_dir"]) / resolved["name"]
@@ -474,21 +463,15 @@ def run_suite(resolved, echo=print):
              for i in range(len(resolved["problems"]))
              for j in range(n_opt)
              for r in range(reps)]
-    workers = _pool_size(len(cells))
-    job = lambda cell: run_cell(resolved, digest, out_dir, cell,
-                                problems[cell[0]])
-    if workers == 1:
-        entries = [job(c) for c in cells]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-            entries = list(ex.map(job, cells))
+    entries = [run_cell(resolved, digest, out_dir, c, problems[c[0]])
+               for c in cells]
     all_passed = all(e["passed"] for e in entries)
     summary = {
         "name": resolved["name"],
         "master_seed": resolved["master_seed"],
         "suite_digest": digest,
         "resolved_config": resolved,
-        "workers": workers,
+        "workers": 1,  # cells run serially; perfbench's checks read this
         "cells": entries,
         "all_passed": all_passed,
     }
@@ -522,7 +505,7 @@ def cmd_plotdata(path, metric, transform="none", stride=1, out=None,
         return EXIT_USAGE
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh
+            lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1)
                      if ln.strip() and not ln.startswith("#")]
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=err)
@@ -530,24 +513,36 @@ def cmd_plotdata(path, metric, transform="none", stride=1, out=None,
     if not lines:
         print(f"{path} has no header row", file=err)
         return EXIT_USAGE
-    columns = lines[0].split(",")
+    columns = lines[0][1].split(",")
     if metric not in columns:
         print(f"unknown metric {metric!r}; columns: {', '.join(columns)}",
               file=err)
+        return EXIT_USAGE
+    if "t" not in columns:
+        print(f"{path} header has no t column", file=err)
         return EXIT_USAGE
     t_idx = columns.index("t")
     m_idx = columns.index(metric)
     emitted = 0
     skipped = 0
-    for k, line in enumerate(lines[1:]):
+    for k, (lineno, line) in enumerate(lines[1:]):
         if k % stride:
             continue
         parts = line.split(",")
+        if len(parts) != len(columns):
+            print(f"{path} line {lineno}: {len(parts)} fields, header has "
+                  f"{len(columns)}", file=err)
+            return EXIT_USAGE
         raw = parts[m_idx]
         if raw == "":
             skipped += 1
             continue
-        v = float(raw)
+        try:
+            v = float(raw)
+        except ValueError:
+            print(f"{path} line {lineno}: {metric} value {raw!r} is not a "
+                  f"number", file=err)
+            return EXIT_USAGE
         if transform != "none":
             if v <= 0.0:
                 skipped += 1
@@ -593,11 +588,18 @@ def cmd_run(config_path, out=None, err=None):
 def cmd_verify(only, seed, out=None, err=None):
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
+    if seed < 0:
+        print(f"seed must be a non-negative integer, got {seed}", file=err)
+        return EXIT_USAGE
     names = None
-    if only:
+    if only is not None:
         names = []
         for item in only:
             names.extend(n for n in item.split(",") if n)
+        if not names:
+            print(f"--only names no check; available: "
+                  f"{', '.join(CHECK_ORDER)}", file=err)
+            return EXIT_USAGE
         unknown = [n for n in names if n not in CHECK_ORDER]
         if unknown:
             print(f"unknown check(s) {', '.join(unknown)}; available: "

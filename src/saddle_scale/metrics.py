@@ -7,7 +7,6 @@ contraction audit for deterministic strongly-monotone runs, log-slope rate
 fitting, and the scalar inequality (1 - 1/T)^sqrt(T) <= 1 - 1/(2 sqrt(T)).
 """
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -133,17 +132,6 @@ class ContractionReport:
     first_violation: tuple | None  # (t, lhs, rhs)
     factor_min: float
     factor_max: float
-
-    def to_json(self):
-        fv = None
-        if self.first_violation is not None:
-            t, lhs, rhs = self.first_violation
-            fv = {"t": t, "lhs": lhs, "rhs": rhs}
-        return json.dumps({
-            "passed": self.passed, "checked": self.checked,
-            "first_violation": fv, "factor_min": self.factor_min,
-            "factor_max": self.factor_max,
-        })
 
 
 def contraction_check(traj, problem, config, region_radius=None):

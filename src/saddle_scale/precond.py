@@ -284,7 +284,8 @@ def update(state, h, rng_stream):
     """Advance the scaling by one call with the curvature vector ``h`` over
     both blocks: fire the EMA with probability ``update_prob`` (one shared
     Bernoulli draw; p = 1 draws nothing) or on the every-k schedule, then
-    re-clip.  The time index advances either way.
+    re-clip.  The time index advances either way.  A state with beta = 1
+    (the identity preset) never fires, as ``advance`` explains.
     """
     h = _validate_curvature(state, h)
     return advance(state, rng_stream, lambda: h)
@@ -298,8 +299,14 @@ def advance(state, rng_stream, curvature_fn):
     ``curvature_fn`` must return a finite vector matching the state's
     length and representation (``curvature_for`` does); unlike ``update``
     nothing is re-validated here.
+
+    With beta = 1 the EMA ``1*raw + 0*h`` equals ``raw`` for every finite
+    ``h``, so such a state treats each call as a skip: it still makes the
+    Bernoulli draw, but never calls ``curvature_fn``, keeps both arrays and
+    reports ``last_fired`` False.  Fire counts and Hessian-vector product
+    counts therefore cover only curvature that was computed.
     """
-    fire = _decide_fire(state, rng_stream)
+    fire = _decide_fire(state, rng_stream) and state.beta != 1.0
     return _apply(state, curvature_fn() if fire else None, fire)
 
 

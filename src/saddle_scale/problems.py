@@ -16,7 +16,6 @@ gradient: zero mean, per-coordinate variance sigma^2, hard norm bound
 exact on all of R^d and leaves per-sample Hessians equal to the true ones.
 """
 
-import json
 import threading
 from dataclasses import dataclass, field as _dc_field
 
@@ -503,56 +502,3 @@ def make_minty(seed, sigma=0.0, noise_bound=None):
     if not verify_minty(prob, radius=10.0, grid_n=1001):
         raise AssertionError("internal error: minty candidate failed certification")
     return prob
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def problem_to_dict(p):
-    doc = {
-        "kind": p.kind, "d_x": p.d_x, "d_y": p.d_y,
-        "mu": p.mu, "L": p.L, "sigma": p.sigma,
-        "noise_bound": p.noise_bound, "seed": p.seed,
-    }
-    for name in ("A", "B", "C"):
-        m = getattr(p, name)
-        if m is not None:
-            doc[name] = m.tolist()  # row-major
-    for name in ("a", "c"):
-        v = getattr(p, name)
-        if v is not None:
-            doc[name] = v.tolist()
-    if p.kind == "minty-example":
-        doc["alpha"] = p.alpha
-    if p.z_star is not None:
-        doc["z_star"] = {"x": p.z_star.x.tolist(), "y": p.z_star.y.tolist()}
-    return doc
-
-
-def problem_from_dict(doc):
-    kw = {}
-    for name in ("A", "B", "C"):
-        if name in doc:
-            kw[name] = np.asarray(doc[name], dtype=np.float64)
-    for name in ("a", "c"):
-        if name in doc:
-            kw[name] = np.asarray(doc[name], dtype=np.float64)
-    z_star = None
-    if "z_star" in doc:
-        z_star = PointPair(np.asarray(doc["z_star"]["x"]),
-                           np.asarray(doc["z_star"]["y"]))
-    return SaddleProblem(
-        kind=doc["kind"], d_x=doc["d_x"], d_y=doc["d_y"], mu=doc["mu"],
-        L=doc["L"], sigma=doc.get("sigma", 0.0),
-        noise_bound=doc.get("noise_bound", 0.0), seed=doc.get("seed", 0),
-        alpha=doc.get("alpha", 0.0), z_star=z_star, **kw,
-    )
-
-
-def problem_to_json(p):
-    return json.dumps(problem_to_dict(p))
-
-
-def problem_from_json(text):
-    return problem_from_dict(json.loads(text))

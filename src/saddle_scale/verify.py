@@ -61,11 +61,6 @@ class CheckResult:
     bound: str
     seconds: float
 
-    def row(self):
-        status = "pass" if self.passed else "FAIL"
-        return (f"{self.name:<22} {status:<5} {self.measured} "
-                f"(bound: {self.bound}) [{self.seconds:.2f}s]")
-
 
 _CHECKS = {}
 CHECK_ORDER = []
@@ -77,10 +72,6 @@ def _register(name, claim):
         CHECK_ORDER.append(name)
         return fn
     return wrap
-
-
-def check_names():
-    return list(CHECK_ORDER)
 
 
 def run_check(name, seed=42):

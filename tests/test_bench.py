@@ -2,12 +2,11 @@
 
 import io
 import json
-import os
 
 import numpy as np
 import pytest
 
-from saddle_scale import bench
+from saddle_scale import bench, gap_restricted, run
 from saddle_scale.errors import ConfigError
 
 
@@ -238,47 +237,28 @@ def test_missing_file_exits_two(tmp_path):
     assert code == 2
 
 
-def test_parallel_serial_identical(tmp_path):
-    def execute(tag, threads):
-        cfg = minimal_config(tmp_path, output_dir=str(tmp_path / tag),
-                             repeats=2,
-                             problems=[{"kind": "quadratic", "d_x": 3,
-                                        "d_y": 2, "mu": 0.5, "L": 2.0,
-                                        "sigma": 0.3}],
-                             optimizers=[
-                                 {"method": "extragrad", "T": 200,
-                                  "gamma": None,
-                                  "scaling": {"preset": "oasis"}},
-                                 {"method": "single-call-momentum", "T": 200,
-                                  "gamma": 1e-4, "eta": 1e-4,
-                                  "scaling": {"preset": "adam",
-                                              "update_prob": 0.5}}])
-        os.environ[bench.THREADS_ENV] = str(threads)
-        try:
-            code, _, _ = run_main(["run", write_config(tmp_path, cfg,
-                                                       f"{tag}.json")])
-        finally:
-            del os.environ[bench.THREADS_ENV]
-        assert code == 0
-        return tmp_path / tag / "suite"
-
-    serial = execute("serial", 1)
-    parallel = execute("parallel", 4)
-    names = sorted(p.name for p in serial.glob("*.csv"))
-    assert names == sorted(p.name for p in parallel.glob("*.csv"))
-    for n in names:
-        assert (serial / n).read_bytes() == (parallel / n).read_bytes()
-
-
-def test_threads_env_validated(tmp_path):
-    cfg = minimal_config(tmp_path)
-    os.environ[bench.THREADS_ENV] = "many"
-    try:
-        code, _, err = run_main(["run", write_config(tmp_path, cfg)])
-    finally:
-        del os.environ[bench.THREADS_ENV]
-    assert code == 2
-    assert bench.THREADS_ENV in err
+def test_averaging_picks_the_reported_gap_point(tmp_path):
+    cfg = minimal_config(tmp_path, problems=[
+        {"kind": "bilinear", "d": 4, "L": 1.0}], optimizers=[
+        {"method": "extragrad", "T": 200, "gamma": 0.1, "averaging": a}
+        for a in ("none", "uniform", "ema")])
+    code, _, _ = run_main(["run", write_config(tmp_path, cfg)])
+    assert code == 0
+    summary = json.loads(
+        (tmp_path / "out" / "suite" / "summary.json").read_text())
+    resolved = summary["resolved_config"]
+    problem = bench.build_problem(resolved["problems"][0])
+    zs = problem.z_star
+    for cell in summary["cells"]:
+        ospec = resolved["optimizers"][cell["optimizer_index"]]
+        traj = run(problem, bench.build_optimizer(
+            ospec, cell["seed"], problem))
+        point = {"none": traj.final_z, "uniform": traj.final_avg_uniform,
+                 "ema": traj.final_avg_ema}[ospec["averaging"]]
+        omega = (max(np.linalg.norm(zs.x), np.linalg.norm(zs.y)) + 1.0
+                 + 2.0 * np.sqrt(max(r.dist2 for r in traj.records)))
+        assert cell["final_gap"] == gap_restricted(problem, point,
+                                                   float(omega))
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +309,27 @@ def test_plotdata_unknown_metric_lists_columns(run_csv):
     assert "dist2" in msg and "grad_norm2" in msg and "dhat_min" in msg
 
 
-def test_plotdata_empty_gap_column_fails(run_csv):
+def test_plotdata_empty_gap_column_fails(run_csv, tmp_path):
     err = io.StringIO()
     assert bench.cmd_plotdata(run_csv, "gap", out=io.StringIO(),
                               err=err) == 2
     assert "gap" in err.getvalue()
+    header, row = open(run_csv, encoding="utf-8").read().splitlines()[:2]
+    fields = row.split(",")
+    dist2 = header.split(",").index("dist2")
+    malformed = {
+        "short": ([header, ",".join(fields[:2])], "line 2"),
+        "text": ([header, ",".join(fields[:dist2] + ["abc"]
+                                   + fields[dist2 + 1:])], "line 2"),
+        "no-t": ([header.replace("t,", "step,", 1), row], "no t column"),
+    }
+    for name, (lines, expected) in malformed.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        err = io.StringIO()
+        assert bench.cmd_plotdata(str(path), "dist2", out=io.StringIO(),
+                                  err=err) == 2, name
+        assert expected in err.getvalue(), name
 
 
 def test_plotdata_bad_stride(run_csv):
@@ -491,7 +487,6 @@ def test_each_problem_built_once_per_suite(tmp_path, monkeypatch):
         return real(**kw)
 
     monkeypatch.setattr(bench, "make_minty", counting)
-    monkeypatch.setenv(bench.THREADS_ENV, "2")
     cfg = minimal_config(tmp_path, repeats=2, problems=[
         {"kind": "minty-example", "seed": 1},
         {"kind": "minty-example", "seed": 2},
@@ -507,6 +502,11 @@ def test_verify_unknown_name_exits_two():
     assert bench.cmd_verify(["no-such-check"], 42, out=io.StringIO(),
                             err=err) == 2
     assert "no-such-check" in err.getvalue()
+    for argv, expected in ((["verify", "--only", ","], "--only"),
+                           (["verify", "--seed", "-1"], "seed")):
+        code, out, err = run_main(argv)
+        assert code == 2 and out == "", argv
+        assert expected in err, argv
 
 
 def test_verify_single_check_table(capsys):

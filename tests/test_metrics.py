@@ -8,7 +8,6 @@ couplings.
 """
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -273,10 +272,9 @@ def test_contraction_check_passes_on_frozen_scaling_run():
                           T=50, seed=0, z0=PointPair([1.0], [1.0]))
     traj = run(p, cfg)
     rep = contraction_check(traj, p, cfg)
-    assert rep.passed and rep.first_violation is None
+    assert rep.passed is True and rep.first_violation is None
     assert rep.checked == 49
-    doc = json.loads(rep.to_json())
-    assert doc["passed"] is True
+    assert rep.factor_min <= rep.factor_max < 1.0
 
 
 def test_contraction_check_flags_fabricated_violation():
@@ -292,8 +290,7 @@ def test_contraction_check_flags_fabricated_violation():
     assert not rep.passed
     t, lhs, rhs = rep.first_violation
     assert t == 0 and lhs == 50.0 and rhs < 50.0
-    doc = json.loads(rep.to_json())
-    assert doc["first_violation"]["t"] == 0
+    assert rep.passed is False
 
 
 def test_contraction_check_rejects_stochastic_runs():

@@ -8,9 +8,13 @@ Oracle strategy: the scalar coupling f = xy has closed-form one-step maps
 directly against the field oracle cross-checks the production loop.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from saddle_scale import optim
 from saddle_scale.errors import DivergenceError, InvalidParameterError
 from saddle_scale.optim import (
     DIVERGENCE_RADIUS,
@@ -159,6 +163,25 @@ def test_run_sgda_accounting():
                           scaling=scaling_preset("adam", 3, 3), T=77, seed=1)
     traj = run(p, cfg)
     assert traj.grad_calls == 77
+
+
+def test_identity_extragrad_computes_no_curvature(monkeypatch):
+    calls = []
+    real = optim.curvature_for
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(optim, "curvature_for", counting)
+    p = make_quadratic(3, 3, mu=0.5, L=2.0, seed=0, sigma=0.1)
+    cfg = OptimizerConfig(method="extragrad", gamma=0.01,
+                          scaling=identity(3, 3), T=1000, seed=1,
+                          trace_scaling=True)
+    traj = run(p, cfg)
+    assert calls == []
+    assert not any(e.fired for e in traj.scaling_trace)
+    assert all(r.dhat_min == r.dhat_max == 1.0 for r in traj.records)
 
 
 def test_run_t_zero_convention():
@@ -328,6 +351,36 @@ def test_batch_shrinks_noise():
     det = field(p, z)
     noisy = gradient(p, z.as_vector(), seed=1, batch=10_000)
     assert np.linalg.norm(noisy - det) <= p.noise_bound / 100.0 + 1e-12
+
+
+def test_runs_on_threads_match_serial_runs():
+    # the keyed noise generator is per thread; one shared instance would mix
+    # the draws of concurrent runs
+    p = make_quadratic(10, 10, mu=0.5, L=2.0, seed=3, sigma=0.5)
+    scaling = scaling_preset("rmsprop", 10, 10)
+    configs = [OptimizerConfig(method="extragrad", gamma=0.01, T=5000,
+                               seed=s, scaling=scaling) for s in range(4)]
+    serial = [run(p, cfg) for cfg in configs]
+    threaded = [None] * len(configs)
+
+    def work(k):
+        threaded[k] = run(p, configs[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(len(configs))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for a, b in zip(serial, threaded):
+        assert np.array_equal(a.final_z.as_vector(), b.final_z.as_vector())
+        assert np.array_equal(a.half_z, b.half_z)
 
 
 # ---------------------------------------------------------------------------

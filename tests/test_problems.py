@@ -5,8 +5,6 @@ Derived expectations are computed by independent oracles inside this file
 rather than by the library code under test.
 """
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,8 +27,6 @@ from saddle_scale.problems import (
     make_bilinear,
     make_minty,
     make_quadratic,
-    problem_from_json,
-    problem_to_json,
     quadratic_from_matrices,
     solve_exact,
     verify_minty,
@@ -328,27 +324,6 @@ def test_solve_exact_singular_bilinear():
 def test_solve_exact_unsupported_kind():
     with pytest.raises(CapabilityError):
         solve_exact(make_minty(seed=0))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-@pytest.mark.parametrize("maker", [
-    lambda: make_quadratic(3, 2, 0.5, 4.0, seed=2, sigma=0.7),
-    lambda: make_bilinear(3, 2.0, seed=9, sigma=0.1),
-    lambda: make_minty(seed=4, sigma=0.01),
-])
-def test_problem_json_roundtrip(maker):
-    p = maker()
-    q = problem_from_json(problem_to_json(p))
-    assert q.kind == p.kind and q.d_x == p.d_x and q.d_y == p.d_y
-    assert q.mu == p.mu and q.L == p.L and q.sigma == p.sigma
-    assert q.noise_bound == p.noise_bound
-    z = PointPair(np.linspace(-1, 1, p.d_x), np.linspace(1, -1, p.d_y))
-    assert np.array_equal(field(p, z), field(q, z))
-    doc = json.loads(problem_to_json(p))
-    assert doc["kind"] == p.kind
 
 
 # ---------------------------------------------------------------------------
