@@ -314,7 +314,8 @@ def test_plotdata_empty_gap_column_fails(run_csv, tmp_path):
     assert bench.cmd_plotdata(run_csv, "gap", out=io.StringIO(),
                               err=err) == 2
     assert "gap" in err.getvalue()
-    header, row = open(run_csv, encoding="utf-8").read().splitlines()[:2]
+    with open(run_csv, encoding="utf-8") as fh:
+        header, row = fh.readline().rstrip("\n"), fh.readline().rstrip("\n")
     fields = row.split(",")
     dist2 = header.split(",").index("dist2")
     malformed = {

@@ -290,7 +290,6 @@ def test_contraction_check_flags_fabricated_violation():
     assert not rep.passed
     t, lhs, rhs = rep.first_violation
     assert t == 0 and lhs == 50.0 and rhs < 50.0
-    assert rep.passed is False
 
 
 def test_contraction_check_rejects_stochastic_runs():
