@@ -456,7 +456,11 @@ def run_suite(resolved, echo=print):
     problems = [build_problem(p) for p in resolved["problems"]]
     _check_theory_gates(resolved, problems)
     out_dir = Path(resolved["output_dir"]) / resolved["name"]
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("output_dir", f"cannot create {out_dir}: "
+                                        f"{exc.strerror or exc}") from exc
     n_opt = len(resolved["optimizers"])
     reps = resolved["repeats"]
     cells = [(i, j, r, (i * n_opt + j) * reps + r)

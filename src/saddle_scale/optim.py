@@ -18,18 +18,29 @@ precond-skip, init) spawned from the run seed, so toggling one feature
 never shifts another's draws.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import problems
 from .errors import (
     DimensionMismatchError,
     DivergenceError,
     InvalidParameterError,
     NonFiniteError,
 )
-from .metrics import RunRecord, weighted_dist_sq
-from .precond import ScalingState, advance, curvature_for, scaling_preset
+# weighted_dist_sq is no longer called here, but stays importable from this
+# module: perfbench/runner.py wraps it (and the step functions) by name here
+from .metrics import RunRecord, weighted_dist_sq  # noqa: F401
+from .precond import (
+    ScalingState,
+    advance,
+    curvature_for,
+    ema_clip_into,
+    fires,
+    scaling_preset,
+)
 from .problems import PointPair, add_noise, field_into, gradient
 
 METHODS = ("extragrad", "single-call-momentum", "sgda")
@@ -48,6 +59,8 @@ class RunStreams:
     anchor: np.random.Generator
     precond_skip: np.random.Generator
     init: np.random.Generator
+    # noise keys drawn ahead, the next one last
+    keys: list = field(default_factory=list, repr=False)
 
     @staticmethod
     def from_seed(seed):
@@ -172,12 +185,22 @@ def theory_gate_failure(problem, config, gamma):
 
 
 # ---------------------------------------------------------------------------
-# single steps
+# single steps: the readable reference that run's engine reproduces
 
 
 def _seed(streams):
-    """Key of the next stochastic batch."""
-    return int(streams.noise.integers(2**63))
+    """Key of the next stochastic batch.
+
+    Keys are drawn STREAM_CHUNK at a time, which yields the same sequence
+    as one draw per key: numpy's 64-bit bounded draw keeps no state between
+    calls.
+    """
+    keys = streams.keys
+    if not keys:
+        block = streams.noise.integers(2**63, size=STREAM_CHUNK).tolist()
+        block.reverse()
+        keys.extend(block)
+    return keys.pop()
 
 
 def _pair(problem, vec):
@@ -188,6 +211,12 @@ def _finite(z):
     if not np.isfinite(z).all():
         raise NonFiniteError("iterate entries must be finite")
     return z
+
+
+def _all_finite(v):
+    """Whether every entry of ``v`` is finite; a finite dot(v, v) proves it
+    without the entrywise test."""
+    return math.isfinite(np.dot(v, v)) or bool(np.isfinite(v).all())
 
 
 def step_extragrad(problem, z, f_z, scaling, gamma, streams, batch=1):
@@ -268,6 +297,12 @@ def run(problem, config, on_records=None):
 
     Raises DivergenceError (with the partial trajectory attached) once the
     iterate norm passes DIVERGENCE_RADIUS or turns non-finite.
+
+    The loop is an in-place engine: the iterate, the half-step, the
+    gradients, the running averages and the scaling's raw and clipped
+    diagonals live in run-owned buffers updated with ``out=`` ufuncs.  It
+    performs the arithmetic of ``step_extragrad``, ``step_single_call`` and
+    ``step_sgda`` in their order, so it reproduces them bit for bit.
     """
     gamma = resolve_gamma(problem, config)
     if config.theory_safe:
@@ -285,39 +320,79 @@ def run(problem, config, on_records=None):
     else:
         z0 = PointPair(streams.init.standard_normal(dx),
                        streams.init.standard_normal(dy))
-    z = z0.as_vector()
     scaling = (config.scaling if config.scaling is not None
                else scaling_preset("identity", dx, dy)).spawn(dx, dy)
-    z_star_vec = problem.z_star.as_vector()
+    z_star = problem.z_star.as_vector()
     T = config.T
+    method, batch, eta = config.method, config.batch, config.eta
+    anchor_prob = config.anchor_prob
+    noisy = problem.sigma > 0.0
+    hutchinson = scaling.source == "hutchinson"
+    skip_rng, rademacher = streams.precond_skip, streams.rademacher
+    lam = config.ema_lambda
+    d = dx + dy
+
+    # run-owned buffers
+    z = z0.as_vector().copy()
+    z_next = np.empty(d)
+    z_half = z.copy()         # single-call's previous half-step starts at z0
+    w = z.copy()              # single-call's anchor
+    f = np.empty(d)           # exact field F(z_t)
+    g = np.empty(d)           # stochastic gradient at z_t
+    # stochastic gradient at the half-step; single-call carries it into the
+    # next iteration, which reads it before overwriting it
+    g_half = np.empty(d)
+    noise = np.empty(d)
+    step = np.empty(d)
+    pull = np.empty(d)
+    diff = np.empty(d)
+    raw = scaling.raw.copy()
+    clipped = scaling.clipped.copy()
+    sum_half = np.zeros(d)
+    ema = np.empty(d)
+    half_z = np.empty((T, d))
 
     records = []
-    pending = []
-    half_z = np.empty((T, dx + dy))
+    emitted = 0
     trace = [] if config.trace_scaling else None
-    sum_half = np.zeros(dx + dy)
-    ema_acc = None
-    lam = config.ema_lambda
+    last_clipped = None
+    if trace is not None:
+        last_clipped = problems._freeze(clipped.copy())
+    dhat_min, dhat_max = float(clipped.min()), float(clipped.max())
     grad_calls = 0
     hvp_calls = 0
-    f_z = np.empty(dx + dy)
 
-    w = z
-    z_half = z
-    g_prev = None
-    if config.method == "single-call-momentum":
-        g_prev = warm_start_single_call(problem, z, streams, config.batch)
-        grad_calls += 1
+    def add_noise_into(f_x, out):
+        """Stochastic gradient from the exact field ``f_x``: ``f_x`` itself
+        on a noise-free problem, else ``noise + f_x`` written into ``out``
+        (the operand order of ``add_noise``).
 
-    def emit(chunk):
-        if on_records is not None and chunk:
-            on_records(chunk)
+        Unlike ``add_noise`` this does not check finiteness: a non-finite
+        gradient makes ``curvature_for`` raise or the step taken with it
+        non-finite (gamma > 0 and clipped >= e > 0), and both the half-step
+        and the next iterate are checked."""
+        if not noisy:
+            return f_x
+        problems.noise_into(problem, _seed(streams), batch, noise)
+        return np.add(noise, f_x, out=out)
+
+    def step_into(x, grad, out):
+        """out <- x - gamma * (grad / clipped)"""
+        np.divide(grad, clipped, out=step)
+        np.multiply(step, gamma, out=step)
+        return np.subtract(x, step, out=out)
+
+    def emit():
+        nonlocal emitted
+        if on_records is not None and emitted < len(records):
+            on_records(records[emitted:])
+        emitted = len(records)
 
     def snapshot(final_z):
         n = len(records)
         if n > 0:
             avg_u = _pair(problem, sum_half / n)
-            avg_e = _pair(problem, ema_acc)
+            avg_e = _pair(problem, ema)
         else:
             avg_u = avg_e = z0
         return Trajectory(
@@ -327,67 +402,101 @@ def run(problem, config, on_records=None):
             grad_calls=grad_calls, hvp_calls=hvp_calls, config=config,
             scaling_trace=trace)
 
+    if method == "single-call-momentum":
+        # the warm start sits outside the loop, so its failure is not a
+        # divergence
+        field_into(problem, z, g_half)
+        add_noise_into(g_half, g_half)
+        if not np.isfinite(g_half).all():
+            raise NonFiniteError("gradient entries must be finite")
+        grad_calls += 1
+
     for t in range(T):
-        z_prev = z
         try:
             # F(z_t) serves the record's grad_norm2 and, for extragrad and
             # sgda, the first gradient of the step
-            field_into(problem, z_prev, f_z)
-            if config.method == "extragrad":
-                z, z_half, scaling = step_extragrad(
-                    problem, z_prev, f_z, scaling, gamma, streams,
-                    config.batch)
-                grad_calls += 2
-            elif config.method == "single-call-momentum":
-                z, z_half, w, g_prev, scaling = step_single_call(
-                    problem, z_prev, w, z_half, g_prev, scaling, gamma,
-                    config.eta, config.anchor_prob, streams, config.batch)
-                grad_calls += 1
+            field_into(problem, z, f)
+            if method == "single-call-momentum":
+                at, g_t = z_half, g_half
             else:
-                z, scaling = step_sgda(
-                    problem, z_prev, f_z, scaling, gamma, streams,
-                    config.batch)
-                z_half = z
-                grad_calls += 1
+                at, g_t = z, add_noise_into(f, g)
+            fired = fires(scaling, t, skip_rng)
+            if fired:
+                h = curvature_for(scaling, problem, at, g_t, rademacher)
+                ema_clip_into(scaling, t, h, raw, clipped)
+                dhat_min, dhat_max = float(clipped.min()), float(clipped.max())
+            if method == "sgda":
+                half = step_into(z, g_t, z_next)
+            else:
+                half = step_into(z, g_t, z_half)
+                if not _all_finite(z_half):
+                    raise NonFiniteError("iterate entries must be finite")
+                field_into(problem, z_half, g_half)
+                g_h = add_noise_into(g_half, g_half)
+                if eta != 0.0 and method == "single-call-momentum":
+                    np.subtract(w, z, out=pull)
+                    np.divide(pull, clipped, out=pull)
+                    np.multiply(pull, eta, out=pull)
+                    np.add(z, pull, out=z_next)
+                    np.divide(g_h, clipped, out=step)
+                    np.multiply(step, gamma, out=step)
+                    np.subtract(z_next, step, out=z_next)
+                else:
+                    step_into(z, g_h, z_next)
+            # one dot serves the finite check here and the radius check below
+            norm2 = float(np.dot(z_next, z_next))
+            if not math.isfinite(norm2) and not np.isfinite(z_next).all():
+                raise NonFiniteError("iterate entries must be finite")
         except (NonFiniteError, FloatingPointError) as exc:
-            emit(pending)
+            emit()
             raise DivergenceError(
                 f"iterate turned non-finite at iteration {t}",
-                trajectory=snapshot(z_prev), t=len(records)) from exc
-        if scaling.last_fired and scaling.source == "hutchinson":
+                trajectory=snapshot(z), t=len(records)) from exc
+        if method == "single-call-momentum":
+            if anchor_prob >= 1.0 or streams.anchor.random() < anchor_prob:
+                np.copyto(w, z)
+            grad_calls += 1
+        elif method == "extragrad":
+            grad_calls += 2
+        else:
+            grad_calls += 1
+        if fired and hutchinson:
             hvp_calls += 1
         if trace is not None:
-            # scaling arrays are read-only, so the trace can share them
-            trace.append(ScalingTraceEntry(
-                scaling.last_fired, scaling.clipped, dx))
+            # a fired step gets its own copy; a skipped one shares the last
+            if fired:
+                last_clipped = problems._freeze(clipped.copy())
+            trace.append(ScalingTraceEntry(fired, last_clipped, dx))
 
-        diff = z_prev - z_star_vec
-        rec = RunRecord(
+        np.subtract(z, z_star, out=diff)
+        np.multiply(clipped, diff, out=step)
+        records.append(RunRecord(
             t=t,
-            r2_weighted=weighted_dist_sq(z_prev, z_star_vec, scaling),
+            r2_weighted=float(np.dot(step, diff)),
             dist2=float(np.dot(diff, diff)),
-            grad_norm2=float(np.dot(f_z, f_z)),
-            dhat_min=float(scaling.clipped.min()),
-            dhat_max=float(scaling.clipped.max()),
+            grad_norm2=float(np.dot(f, f)),
+            dhat_min=dhat_min,
+            dhat_max=dhat_max,
             grad_calls=grad_calls,
-        )
-        records.append(rec)
-        pending.append(rec)
-        if len(pending) >= STREAM_CHUNK:
-            emit(pending)
-            pending = []
+        ))
+        if len(records) - emitted >= STREAM_CHUNK:
+            emit()
 
-        half_z[t] = z_half
-        sum_half += z_half
-        ema_acc = (z_half.copy() if ema_acc is None
-                   else lam * ema_acc + (1 - lam) * z_half)
+        half_z[t] = half
+        sum_half += half
+        if t == 0:
+            np.copyto(ema, half)
+        else:
+            np.multiply(ema, lam, out=ema)
+            np.multiply(half, 1 - lam, out=step)
+            ema += step
 
-        norm2 = float(np.dot(z, z))
-        if not np.isfinite(norm2) or norm2 > DIVERGENCE_RADIUS**2:
-            emit(pending)
+        z, z_next = z_next, z
+        if not math.isfinite(norm2) or norm2 > DIVERGENCE_RADIUS**2:
+            emit()
             raise DivergenceError(
                 f"iterate norm passed {DIVERGENCE_RADIUS:g} at iteration {t}",
                 trajectory=snapshot(z), t=len(records))
 
-    emit(pending)
+    emit()
     return snapshot(z)

@@ -221,13 +221,6 @@ def curvature_for(state, problem, z, g, rademacher_rng):
 # the update itself
 
 
-def _clip(rule, raw, floor_e, variant):
-    d = np.sqrt(raw) if rule == "squared-ema" else np.abs(raw)
-    if variant == "add":
-        return d + floor_e
-    return np.maximum(floor_e, d)
-
-
 def _validate_curvature(state, h):
     h = np.asarray(h, dtype=np.float64)
     if h.shape != state.raw.shape:
@@ -240,25 +233,52 @@ def _validate_curvature(state, h):
     return h
 
 
-def _decide_fire(state, rng_stream):
+def fires(state, t, rng_stream):
+    """Whether update call number ``t`` (0-based) of a scaling with
+    ``state``'s hyperparameters fires: every ``update_every_k``-th call, or
+    with probability ``update_prob`` (one Bernoulli draw from
+    ``rng_stream``; p = 1 draws nothing).  A beta = 1 scaling still makes
+    the draw but never fires, as ``advance`` explains."""
     if state.update_every_k is not None:
-        return state.t % state.update_every_k == 0
-    if state.update_prob < 1.0:
-        return bool(rng_stream.random() < state.update_prob)
-    return True
+        fire = t % state.update_every_k == 0
+    elif state.update_prob < 1.0:
+        fire = bool(rng_stream.random() < state.update_prob)
+    else:
+        fire = True
+    return fire and state.beta != 1.0
+
+
+def ema_clip_into(state, t, h, raw, clipped):
+    """Fire update call number ``t`` of a scaling with ``state``'s
+    hyperparameters, in place: ``raw <- b raw + (1 - b) h`` with
+    b = beta_t(schedule, beta, t), then ``clipped <- max(e, D)`` (or
+    ``D + e``) with D = sqrt(raw) for squared-ema and |raw| for
+    additive-ema.  ``h`` is left as is.
+    """
+    # inline beta_t: schedule and beta were validated at construction
+    if state.schedule == "constant-beta" or state.beta == 1.0:
+        b = state.beta
+    else:
+        bp = state.beta ** (t + 1)
+        b = (state.beta - bp) / (1.0 - bp)
+    np.multiply(raw, b, out=raw)
+    raw += (1.0 - b) * h
+    if state.rule == "squared-ema":
+        np.sqrt(raw, out=clipped)
+    else:
+        np.abs(raw, out=clipped)
+    if state.clip_variant == "add":
+        clipped += state.floor_e
+    else:
+        np.maximum(clipped, state.floor_e, out=clipped)
 
 
 def _apply(state, h, fire):
     if fire:
-        # inline beta_t: schedule and beta were validated at construction
-        if state.schedule == "constant-beta" or state.beta == 1.0:
-            b = state.beta
-        else:
-            bp = state.beta ** (state.t + 1)
-            b = (state.beta - bp) / (1.0 - bp)
-        raw = P._freeze(b * state.raw + (1.0 - b) * h)
-        clipped = P._freeze(
-            _clip(state.rule, raw, state.floor_e, state.clip_variant))
+        raw = state.raw.copy()
+        clipped = np.empty_like(raw)
+        ema_clip_into(state, state.t, h, raw, clipped)
+        raw, clipped = P._freeze(raw), P._freeze(clipped)
     else:
         # clipping is a function of raw, so a skip keeps both arrays
         raw, clipped = state.raw, state.clipped
@@ -306,7 +326,7 @@ def advance(state, rng_stream, curvature_fn):
     reports ``last_fired`` False.  Fire counts and Hessian-vector product
     counts therefore cover only curvature that was computed.
     """
-    fire = _decide_fire(state, rng_stream) and state.beta != 1.0
+    fire = fires(state, state.t, rng_stream)
     return _apply(state, curvature_fn() if fire else None, fire)
 
 

@@ -16,6 +16,7 @@ gradient: zero mean, per-coordinate variance sigma^2, hard norm bound
 exact on all of R^d and leaves per-sample Hessians equal to the true ones.
 """
 
+import math
 import threading
 from dataclasses import dataclass, field as _dc_field
 
@@ -171,20 +172,21 @@ def _sample_rng(seed):
     ``np.random.Generator(np.random.Philox(key=seed))`` but the per-call
     setup is a state reset on a thread-local instance, not a construction
     (sample seeding sits on the hot path of every stochastic oracle call).
+
+    The cached state dict of the fresh generator keeps its zero counter,
+    empty buffer and no spare 32-bit word, so each reset only rewrites the
+    two key words.
     """
     gen = getattr(_TLS, "gen", None)
     if gen is None:
         _TLS.bg = np.random.Philox(key=0)
         _TLS.gen = gen = np.random.Generator(_TLS.bg)
         _TLS.state = _TLS.bg.state
-    st = _TLS.state
-    lo = seed & 0xFFFFFFFFFFFFFFFF
-    st["state"]["key"][0] = lo
-    st["state"]["key"][1] = seed >> 64
-    st["state"]["counter"][:] = 0
-    st["buffer_pos"] = 4
-    st["has_uint32"] = 0
-    _TLS.bg.state = st
+        _TLS.key = _TLS.state["state"]["key"]
+    key = _TLS.key
+    key[0] = seed & 0xFFFFFFFFFFFFFFFF
+    key[1] = seed >> 64
+    _TLS.bg.state = _TLS.state
     return gen
 
 
@@ -242,10 +244,10 @@ def noise_into(p, seed, batch, out):
     rng = _sample_rng(seed)
     rng.standard_normal(out=out)
     out *= p.sigma
-    n = np.sqrt(out @ out)
+    n = math.sqrt(out @ out)
     if n > p.noise_bound:
         out *= p.noise_bound / n
-    out /= np.sqrt(batch)
+    out /= math.sqrt(batch)
     return out
 
 

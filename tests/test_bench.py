@@ -235,6 +235,12 @@ def test_malformed_json_reports_position(tmp_path):
 def test_missing_file_exits_two(tmp_path):
     code, _, err = run_main(["run", str(tmp_path / "absent.json")])
     assert code == 2
+    # an output_dir that cannot be created is a config error, not a crash
+    (tmp_path / "afile").write_text("")
+    cfg = minimal_config(tmp_path, output_dir=str(tmp_path / "afile"))
+    code, _, err = run_main(["run", write_config(tmp_path, cfg)])
+    assert code == 2
+    assert err.startswith("config error at output_dir: cannot create ")
 
 
 def test_averaging_picks_the_reported_gap_point(tmp_path):

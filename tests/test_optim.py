@@ -311,6 +311,105 @@ def test_extragrad_shrinks_xy_monotonically():
 
 
 # ---------------------------------------------------------------------------
+# the in-place engine against the single steps
+
+
+def steps_reference(p, cfg):
+    """run's trajectory rebuilt by driving the single steps by hand.
+
+    Returns (half_z, final_z, avg_uniform, avg_ema, grad_calls, hvp_calls,
+    trace, records) with trace a list of (fired, clipped) and records a list
+    of (dist2, r2_weighted, grad_norm2, dhat_min, dhat_max) tuples.
+    """
+    streams = RunStreams.from_seed(cfg.seed)
+    dx, dy = p.d_x, p.d_y
+    z = np.concatenate([streams.init.standard_normal(dx),
+                        streams.init.standard_normal(dy)])
+    z_star = p.z_star.as_vector()
+    scaling = cfg.scaling.spawn(dx, dy)
+    w = z_half = z
+    g = None
+    grad_calls = hvp_calls = 0
+    if cfg.method == "single-call-momentum":
+        g = warm_start_single_call(p, z, streams, cfg.batch)
+        grad_calls += 1
+    halves, trace, records = [], [], []
+    sum_half, ema = np.zeros(dx + dy), None
+    for _ in range(cfg.T):
+        z_prev = z
+        f = F(p, z)
+        if cfg.method == "extragrad":
+            z, z_half, scaling = step_extragrad(p, z, f, scaling, cfg.gamma,
+                                                streams, cfg.batch)
+            grad_calls += 2
+        elif cfg.method == "single-call-momentum":
+            z, z_half, w, g, scaling = step_single_call(
+                p, z, w, z_half, g, scaling, cfg.gamma, cfg.eta,
+                cfg.anchor_prob, streams, cfg.batch)
+            grad_calls += 1
+        else:
+            z, scaling = step_sgda(p, z, f, scaling, cfg.gamma, streams,
+                                   cfg.batch)
+            z_half = z
+            grad_calls += 1
+        hvp_calls += scaling.last_fired and scaling.source == "hutchinson"
+        trace.append((scaling.last_fired, scaling.clipped))
+        diff = z_prev - z_star
+        records.append((float(diff @ diff),
+                        optim.weighted_dist_sq(z_prev, z_star, scaling),
+                        float(f @ f), float(scaling.clipped.min()),
+                        float(scaling.clipped.max())))
+        halves.append(z_half)
+        sum_half += z_half
+        lam = cfg.ema_lambda
+        ema = z_half.copy() if ema is None else lam * ema + (1 - lam) * z_half
+    return (np.array(halves).reshape(cfg.T, dx + dy), z, sum_half / cfg.T,
+            ema, grad_calls, hvp_calls, trace, records)
+
+
+ENGINE_SCALINGS = {
+    "oasis-p0.5": lambda: scaling_preset("oasis", 3, 2, update_prob=0.5),
+    "rmsprop-k3": lambda: scaling_preset("rmsprop", 3, 2, update_every_k=3),
+    "adahessian": lambda: scaling_preset("adahessian", 3, 2),
+}
+
+
+@pytest.mark.parametrize("scaling", sorted(ENGINE_SCALINGS))
+@pytest.mark.parametrize("sigma", [0.3, 0.0])
+@pytest.mark.parametrize("method", optim.METHODS)
+def test_engine_matches_single_steps_bit_for_bit(method, sigma, scaling):
+    # with sigma = 0 add_noise returns the field vector itself, so a carried
+    # single-call gradient that aliased an engine buffer would show here
+    p = make_quadratic(3, 2, mu=0.5, L=2.0, seed=5, sigma=sigma)
+    cfg = OptimizerConfig(method=method, T=40, seed=11, gamma=0.002,
+                          eta=0.004 if method == "single-call-momentum"
+                          else 0.0,
+                          batch=2, averaging="ema", ema_lambda=0.9,
+                          scaling=ENGINE_SCALINGS[scaling](),
+                          trace_scaling=True)
+    traj = run(p, cfg)
+    (halves, final, avg_u, avg_e, grad_calls, hvp_calls, trace,
+     records) = steps_reference(p, cfg)
+    assert np.array_equal(traj.half_z, halves)
+    assert np.array_equal(traj.final_z.as_vector(), final)
+    assert np.array_equal(traj.final_avg_uniform.as_vector(), avg_u)
+    assert np.array_equal(traj.final_avg_ema.as_vector(), avg_e)
+    assert (traj.grad_calls, traj.hvp_calls) == (grad_calls, hvp_calls)
+    assert [(r.dist2, r.r2_weighted, r.grad_norm2, r.dhat_min, r.dhat_max)
+            for r in traj.records] == records
+    fired = [f for f, _ in trace]
+    assert [e.fired for e in traj.scaling_trace] == fired
+    assert any(fired) and (scaling == "adahessian" or not all(fired))
+    prev = None
+    for entry, (_, clipped) in zip(traj.scaling_trace, trace):
+        assert np.array_equal(entry.clipped, clipped)
+        assert not entry.clipped.flags.writeable
+        # a fired step holds its own array, a skipped one the previous one
+        assert (entry.clipped is prev) == (not entry.fired)
+        prev = entry.clipped
+
+
+# ---------------------------------------------------------------------------
 # scaling trace and record invariants
 
 
@@ -409,6 +508,33 @@ def test_sgda_diverges_on_bilinear_with_partial_trajectory():
     assert err.trajectory is not None
     assert len(err.trajectory.records) == err.t
     assert err.trajectory.records[-1].dist2 <= DIVERGENCE_RADIUS**2 * 4
+
+
+@pytest.mark.parametrize("method, message, t", [
+    ("extragrad", "iterate turned non-finite at iteration 0", 0),
+    ("single-call-momentum", "iterate turned non-finite at iteration 0", 0),
+    ("sgda", "iterate norm passed 1e+12 at iteration 0", 1),
+])
+def test_huge_step_diverges_where_the_iterate_overflows(method, message, t):
+    # extragrad and single-call overflow at their second gradient step, so
+    # the step fails and nothing is recorded; sgda's iterate stays finite
+    # but its norm overflows, so its first record is kept
+    p = make_quadratic(3, 2, mu=0.5, L=2.0, seed=5, sigma=0.3)
+    cfg = OptimizerConfig(method=method, T=10, seed=1, gamma=1e300)
+    streams = RunStreams.from_seed(1)
+    z0 = np.concatenate([streams.init.standard_normal(3),
+                         streams.init.standard_normal(2)])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError) as info:
+        run(p, cfg)
+    err = info.value
+    assert str(err) == message
+    assert err.t == t == len(err.trajectory.records)
+    assert err.trajectory.half_z.shape == (t, 5)
+    if t == 0:
+        np.testing.assert_array_equal(err.trajectory.final_z.as_vector(), z0)
+    else:
+        assert np.isfinite(err.trajectory.final_z.as_vector()).all()
 
 
 def test_config_validation():

@@ -1,12 +1,13 @@
 """The benchmark's tracing contract, checked without running the benchmark.
 
 A traced ``perfbench`` round wraps the program's layer boundaries by name
-(``runner.install_tracing``) and reads fields of what they return: the
-``ScalingState`` from ``advance``, ``Trajectory.half_z`` and the scaling
-trace entries.  Untraced rounds touch none of this, so a rename or a changed
+(``runner.install_tracing``, which fails on a name that is gone) and reads
+fields of what they return: ``Trajectory.half_z`` and the scaling trace
+entries.  Untraced rounds touch none of this, so a rename or a changed
 return type would only show up as a crashed traced round.  This test
 installs the same tracing on short runs of every method and checks the
-counters and per-layer call counts that the traced round reports.
+counters and per-layer call counts that the traced round reports for the
+layers ``run`` calls.
 """
 
 import sys
@@ -57,25 +58,25 @@ def test_traced_runs_report_every_layer(perfbench_modules, tmp_path):
     assert saddle_scale.optim.field_into is saddle_scale.problems.field_into
 
     counters = tracer.counters()
-    for key in ("precond.ema.fires", "precond.ema.skips",
-                "optim.half_z.bytes", "optim.scaling_trace.bytes"):
-        assert counters.get(key, 0) > 0, key
     assert counters["optim.records"] == 3 * T
-    assert counters["precond.clip.entries"] == 3 * T * 5
+    # every run keeps T rows of 5 half-step entries; the traced sgda run
+    # keeps T clipped diagonals of 5 entries
+    assert counters["optim.half_z.bytes"] == 3 * T * 5 * 8
+    assert counters["optim.scaling_trace.bytes"] == T * 5 * 8
     assert all(len(t.records) == T for t in trajs)
 
     spans = tmp_path / "spans.npz"
     tracer.save(spans)
     layers = tracer_mod.reduce_spans(spans)
-    # F(z_t) once per iteration in run, plus each step's fresh gradient
-    # calls after the first: extragrad 1, single-call 1 (+1 warm start),
-    # sgda 0
+    # F(z_t) once per iteration in run, plus each iteration's fresh
+    # gradient calls after the first: extragrad 1, single-call 1 (+1 warm
+    # start), sgda 0
     assert layers["problems.field_into"]["calls"] == 2 * T + (2 * T + 1) + T
-    assert layers["optim.step_extragrad"]["calls"] == T
-    assert layers["optim.step_single_call"]["calls"] == T
-    assert layers["optim.step_sgda"]["calls"] == T
-    assert layers["precond.advance"]["calls"] == 3 * T
-    assert layers["metrics.weighted_dist_sq"]["calls"] == 3 * T
+    # rmsprop and adahessian fire every step, oasis at p = 0.5
+    fires = 2 * T + sum(e.fired for e in trajs[2].scaling_trace)
+    assert 2 * T < fires < 3 * T
+    assert layers["precond.curvature_for"]["calls"] == fires
     hutchinson_fires = sum(t.hvp_calls for t in trajs)
-    assert layers["problems.hvp_into"]["calls"] == hutchinson_fires > 0
+    assert hutchinson_fires == fires - T
+    assert layers["problems.hvp_into"]["calls"] == hutchinson_fires
     assert np.isfinite(trajs[2].final_z.as_vector()).all()
