@@ -368,13 +368,12 @@ def _fmt(v):
 
 
 def _write_rows(fh, chunk):
-    lines = []
-    for r in chunk:
-        gap = "" if r.gap is None else _fmt(r.gap)
-        lines.append(f"{r.t},{_fmt(r.r2_weighted)},{_fmt(r.dist2)},"
-                     f"{_fmt(r.grad_norm2)},{gap},{_fmt(r.dhat_min)},"
-                     f"{_fmt(r.dhat_max)},{r.grad_calls}")
-    fh.write("\n".join(lines) + "\n")
+    """Append one CSV line per record of the ``Records`` chunk; a run's
+    records carry no gap, so that column stays empty."""
+    fh.write("".join(
+        f"{int(t)},{_fmt(r2)},{_fmt(d2)},{_fmt(g2)},,{_fmt(lo)},{_fmt(hi)},"
+        f"{int(calls)}\n"
+        for t, r2, d2, g2, lo, hi, calls in chunk.block.tolist()))
 
 
 def _final_gap(problem, traj, averaging):
@@ -382,13 +381,13 @@ def _final_gap(problem, traj, averaging):
     "none", else the uniform or EMA average), on a ball big enough for both
     the solution and everything the run visited; None when the problem has
     no gap notion or the run never moved."""
-    if not traj.records:
+    if not len(traj.records):
         return None
     z_out = {"none": traj.final_z, "uniform": traj.final_avg_uniform,
              "ema": traj.final_avg_ema}[averaging]
     zs = problem.z_star
     omega = (max(float(np.linalg.norm(zs.x)), float(np.linalg.norm(zs.y)))
-             + 2.0 * float(np.sqrt(max(r.dist2 for r in traj.records))) + 1.0)
+             + 2.0 * float(np.sqrt(traj.records.dist2.max())) + 1.0)
     try:
         return gap_restricted(problem, z_out, omega)
     except (CapabilityError, PreconditionError):

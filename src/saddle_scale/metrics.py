@@ -42,6 +42,56 @@ class RunRecord:
     gap: float | None = None
 
 
+RECORD_FIELDS = ("t", "r2_weighted", "dist2", "grad_norm2", "dhat_min",
+                 "dhat_max", "grad_calls")
+
+
+def _row(v):
+    return RunRecord(int(v[0]), v[1], v[2], v[3], v[4], v[5], int(v[6]))
+
+
+def _column(k):
+    return property(lambda self: self.block[:, k],
+                    doc=f"the {RECORD_FIELDS[k]} column as a read-only array")
+
+
+class Records:
+    """Read-only view of a run's records: an (n, 7) float64 block whose
+    columns are RECORD_FIELDS.
+
+    It lengths, indexes and iterates as ``RunRecord`` rows (``t`` and
+    ``grad_calls`` as int, the rest as float); a slice is again a
+    ``Records``; each field name gives its column as an array.
+    """
+
+    __slots__ = ("block",)
+
+    t = _column(0)
+    r2_weighted = _column(1)
+    dist2 = _column(2)
+    grad_norm2 = _column(3)
+    dhat_min = _column(4)
+    dhat_max = _column(5)
+    grad_calls = _column(6)
+
+    def __init__(self, block):
+        self.block = P._freeze(block.view())
+
+    def __len__(self):
+        return self.block.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Records(self.block[i])
+        return _row(self.block[i].tolist())
+
+    def __iter__(self):
+        return map(_row, self.block.tolist())
+
+    def __repr__(self):
+        return f"Records(n={len(self)})"
+
+
 def weighted_dist_sq(z, z_star, scaling):
     """sum_i clipped_i * (z_i - z*_i)^2 over the concatenated coordinates
     of the vectors ``z`` and ``z_star``."""
@@ -54,11 +104,12 @@ def weighted_dist_sq(z, z_star, scaling):
 
 
 def noise_floor(records, tail_frac=0.2):
-    """Plateau estimate: median r2_weighted over the trailing fraction."""
-    if not records:
+    """Plateau estimate: median r2_weighted over the trailing fraction of
+    ``records`` (a ``Records`` view)."""
+    if not len(records):
         raise InvalidParameterError("noise_floor needs a non-empty record list")
     k = max(1, math.ceil(tail_frac * len(records)))
-    return float(np.median([r.r2_weighted for r in records[-k:]]))
+    return float(np.median(records.r2_weighted[-k:]))
 
 
 # ---------------------------------------------------------------------------
@@ -155,33 +206,36 @@ def contraction_check(traj, problem, config, region_radius=None):
         raise PreconditionError("contraction audit needs update_prob = 1")
     if config.gamma is None:
         raise InvalidParameterError("contraction audit needs an explicit gamma")
+    records = traj.records
     if scaling.source == "hutchinson" or region_radius is not None:
         cap = gamma_bound(scaling.source, problem, region_radius)
+    elif len(records):
+        cap = max(scaling.floor_e, float(records.dhat_max.max()))
     else:
-        cap = max(scaling.floor_e,
-                  max((r.dhat_max for r in traj.records), default=scaling.floor_e))
+        cap = scaling.floor_e
     gamma = config.gamma
     if gamma > scaling.floor_e / (4.0 * problem.L) * (1 + 1e-12):
         raise PreconditionError("step size exceeds floor_e / (4 L)")
 
     growth_c = growth_constant(scaling, cap)
-    records = traj.records
-    if len(records) < 2:
+    n = len(records)
+    if n < 2:
         return ContractionReport(True, 0, None, math.nan, math.nan)
-    tol = 1e-10 * records[0].r2_weighted
-    factors = []
+    r2 = records.r2_weighted
+    tol = 1e-10 * r2[0]
+    b_next = np.array([beta_t(scaling.schedule, scaling.beta, k + 1)
+                       for k in range(n - 1)])
+    factors = (1.0 - gamma * problem.mu / cap) + (1.0 - b_next) * growth_c
+    lhs = r2[1:]
+    rhs = factors * r2[:-1] + tol
+    bad = np.flatnonzero(lhs > rhs)
     first = None
-    for k in range(len(records) - 1):
-        b_next = beta_t(scaling.schedule, scaling.beta, k + 1)
-        factor = 1.0 - gamma * problem.mu / cap + (1.0 - b_next) * growth_c
-        factors.append(factor)
-        lhs = records[k + 1].r2_weighted
-        rhs = factor * records[k].r2_weighted + tol
-        if lhs > rhs and first is None:
-            first = (k, lhs, rhs)
+    if bad.size:
+        k = int(bad[0])
+        first = (k, float(lhs[k]), float(rhs[k]))
     return ContractionReport(
-        passed=first is None, checked=len(records) - 1, first_violation=first,
-        factor_min=float(min(factors)), factor_max=float(max(factors)),
+        passed=first is None, checked=n - 1, first_violation=first,
+        factor_min=float(factors.min()), factor_max=float(factors.max()),
     )
 
 

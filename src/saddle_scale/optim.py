@@ -32,7 +32,7 @@ from .errors import (
 )
 # weighted_dist_sq is no longer called here, but stays importable from this
 # module: perfbench/runner.py wraps it (and the step functions) by name here
-from .metrics import RunRecord, weighted_dist_sq  # noqa: F401
+from .metrics import RECORD_FIELDS, Records, weighted_dist_sq  # noqa: F401
 from .precond import (
     ScalingState,
     advance,
@@ -41,7 +41,7 @@ from .precond import (
     fires,
     scaling_preset,
 )
-from .problems import PointPair, add_noise, field_into, gradient
+from .problems import PointPair, _all_finite, add_noise, field_into, gradient
 
 METHODS = ("extragrad", "single-call-momentum", "sgda")
 AVERAGING = ("none", "uniform", "ema")
@@ -72,7 +72,7 @@ class RunStreams:
 @dataclass
 class ScalingTraceEntry:
     """One step of a traced run: whether the scaling update fired, and the
-    clipped diagonal (a skipped step shares the previous step's array)."""
+    clipped diagonal that step used (a read-only row of the trace)."""
 
     fired: bool
     clipped: np.ndarray
@@ -85,6 +85,38 @@ class ScalingTraceEntry:
     @property
     def clipped_y(self):
         return self.clipped[self.d_x :]
+
+
+class ScalingTrace:
+    """Read-only view of a traced run's scaling: ``clipped``, an (n, d)
+    float64 block with one row per step, and ``fired``, an (n,) bool column.
+
+    It lengths, indexes and iterates as ``ScalingTraceEntry`` rows; a slice
+    is again a ``ScalingTrace``.
+    """
+
+    __slots__ = ("clipped", "fired", "d_x")
+
+    def __init__(self, clipped, fired, d_x):
+        self.clipped = problems._freeze(clipped.view())
+        self.fired = problems._freeze(fired.view())
+        self.d_x = d_x
+
+    def __len__(self):
+        return self.fired.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ScalingTrace(self.clipped[i], self.fired[i], self.d_x)
+        return ScalingTraceEntry(bool(self.fired[i]), self.clipped[i],
+                                 self.d_x)
+
+    def __iter__(self):
+        for fired, clipped in zip(self.fired.tolist(), self.clipped):
+            yield ScalingTraceEntry(fired, clipped, self.d_x)
+
+    def __repr__(self):
+        return f"ScalingTrace(n={len(self)}, d_x={self.d_x})"
 
 
 @dataclass(frozen=True)
@@ -125,9 +157,11 @@ class OptimizerConfig:
 @dataclass
 class Trajectory:
     """Run output: per-iteration records for the pre-step iterates, the
-    half-step iterates (rows of half_z), and exact oracle counters."""
+    half-step iterates (rows of half_z), and exact oracle counters.
+    ``records`` and ``scaling_trace`` are read-only views over blocks the
+    run wrote one row per iteration."""
 
-    records: list
+    records: Records
     half_z: np.ndarray
     final_z: PointPair
     final_avg_uniform: PointPair
@@ -135,7 +169,7 @@ class Trajectory:
     grad_calls: int
     hvp_calls: int
     config: OptimizerConfig | None = None
-    scaling_trace: list | None = None
+    scaling_trace: ScalingTrace | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +247,6 @@ def _finite(z):
     return z
 
 
-def _all_finite(v):
-    """Whether every entry of ``v`` is finite; a finite dot(v, v) proves it
-    without the entrywise test."""
-    return math.isfinite(np.dot(v, v)) or bool(np.isfinite(v).all())
-
-
 def step_extragrad(problem, z, f_z, scaling, gamma, streams, batch=1):
     """One extragradient iteration from the vector ``z``, whose exact field
     F(z) the caller has evaluated into ``f_z`` (left as is); returns
@@ -293,7 +321,8 @@ def run(problem, config, on_records=None):
     records[t] describes the pre-step iterate z_t under the scaling used by
     the step out of z_t; final_z is z_T.  With T = 0 nothing moves and both
     averages fall back to z_0.  ``on_records`` receives completed records in
-    chunks of 1000 (then the remainder), so aborted runs keep their prefix.
+    chunks of 1000 (then the remainder), so aborted runs keep their prefix;
+    each chunk is a ``Records`` view of rows the run never writes again.
 
     Raises DivergenceError (with the partial trajectory attached) once the
     iterate norm passes DIVERGENCE_RADIUS or turns non-finite.
@@ -302,7 +331,10 @@ def run(problem, config, on_records=None):
     gradients, the running averages and the scaling's raw and clipped
     diagonals live in run-owned buffers updated with ``out=`` ufuncs.  It
     performs the arithmetic of ``step_extragrad``, ``step_single_call`` and
-    ``step_sgda`` in their order, so it reproduces them bit for bit.
+    ``step_sgda`` in their order, so it reproduces them bit for bit.  Each
+    iteration writes one row of a (T, 7) record block (RECORD_FIELDS) and,
+    with ``trace_scaling``, one row of a (T, d) clipped-diagonal block and
+    of a fired column.
     """
     gamma = resolve_gamma(problem, config)
     if config.theory_safe:
@@ -351,13 +383,14 @@ def run(problem, config, on_records=None):
     sum_half = np.zeros(d)
     ema = np.empty(d)
     half_z = np.empty((T, d))
+    record_block = np.empty((T, len(RECORD_FIELDS)))
+    trace = config.trace_scaling
+    if trace:
+        trace_clipped = np.empty((T, d))
+        trace_fired = np.empty(T, dtype=bool)
 
-    records = []
+    n = 0         # records written
     emitted = 0
-    trace = [] if config.trace_scaling else None
-    last_clipped = None
-    if trace is not None:
-        last_clipped = problems._freeze(clipped.copy())
     dhat_min, dhat_max = float(clipped.min()), float(clipped.max())
     grad_calls = 0
     hvp_calls = 0
@@ -384,23 +417,23 @@ def run(problem, config, on_records=None):
 
     def emit():
         nonlocal emitted
-        if on_records is not None and emitted < len(records):
-            on_records(records[emitted:])
-        emitted = len(records)
+        if on_records is not None and emitted < n:
+            on_records(Records(record_block[emitted:n]))
+        emitted = n
 
     def snapshot(final_z):
-        n = len(records)
         if n > 0:
             avg_u = _pair(problem, sum_half / n)
             avg_e = _pair(problem, ema)
         else:
             avg_u = avg_e = z0
         return Trajectory(
-            records=records, half_z=half_z[:n],
+            records=Records(record_block[:n]), half_z=half_z[:n],
             final_z=_pair(problem, final_z),
             final_avg_uniform=avg_u, final_avg_ema=avg_e,
             grad_calls=grad_calls, hvp_calls=hvp_calls, config=config,
-            scaling_trace=trace)
+            scaling_trace=(ScalingTrace(trace_clipped[:n], trace_fired[:n], dx)
+                           if trace else None))
 
     if method == "single-call-momentum":
         # the warm start sits outside the loop, so its failure is not a
@@ -451,7 +484,7 @@ def run(problem, config, on_records=None):
             emit()
             raise DivergenceError(
                 f"iterate turned non-finite at iteration {t}",
-                trajectory=snapshot(z), t=len(records)) from exc
+                trajectory=snapshot(z), t=n) from exc
         if method == "single-call-momentum":
             if anchor_prob >= 1.0 or streams.anchor.random() < anchor_prob:
                 np.copyto(w, z)
@@ -462,24 +495,16 @@ def run(problem, config, on_records=None):
             grad_calls += 1
         if fired and hutchinson:
             hvp_calls += 1
-        if trace is not None:
-            # a fired step gets its own copy; a skipped one shares the last
-            if fired:
-                last_clipped = problems._freeze(clipped.copy())
-            trace.append(ScalingTraceEntry(fired, last_clipped, dx))
+        if trace:
+            trace_fired[t] = fired
+            trace_clipped[t] = clipped
 
         np.subtract(z, z_star, out=diff)
         np.multiply(clipped, diff, out=step)
-        records.append(RunRecord(
-            t=t,
-            r2_weighted=float(np.dot(step, diff)),
-            dist2=float(np.dot(diff, diff)),
-            grad_norm2=float(np.dot(f, f)),
-            dhat_min=dhat_min,
-            dhat_max=dhat_max,
-            grad_calls=grad_calls,
-        ))
-        if len(records) - emitted >= STREAM_CHUNK:
+        record_block[t] = (t, np.dot(step, diff), np.dot(diff, diff),
+                           np.dot(f, f), dhat_min, dhat_max, grad_calls)
+        n = t + 1
+        if n - emitted >= STREAM_CHUNK:
             emit()
 
         half_z[t] = half
@@ -496,7 +521,7 @@ def run(problem, config, on_records=None):
             emit()
             raise DivergenceError(
                 f"iterate norm passed {DIVERGENCE_RADIUS:g} at iteration {t}",
-                trajectory=snapshot(z), t=len(records))
+                trajectory=snapshot(z), t=n)
 
     emit()
     return snapshot(z)

@@ -187,11 +187,15 @@ def curvature_hutchinson(p, z, rng_stream):
     """Rademacher diagonal estimate: draw v with i.i.d. +-1 entries from
     rng_stream, return v * (H v) (unbiased for the diagonal).
 
-    The signs come from thresholding uniforms (exactly fair on the 53-bit
+    The signs come from thresholding uniforms u (exactly fair on the 53-bit
     grid), which is measurably cheaper per draw than a bounded-integer
-    call on this hot path.
+    call on this hot path.  v = copysign(1, u - 1/2) equals
+    where(u < 1/2, -1, 1): u - 1/2 is exact on that grid, negative exactly
+    when u < 1/2, and +0 at u = 1/2.
     """
-    v = np.where(rng_stream.random(p.d_x + p.d_y) < 0.5, -1.0, 1.0)
+    v = rng_stream.random(p.d_x + p.d_y)
+    np.subtract(v, 0.5, out=v)
+    np.copysign(1.0, v, out=v)
     return hutchinson_probe(p, z, v)
 
 
@@ -204,15 +208,16 @@ def curvature_for(state, problem, z, g, rademacher_rng):
     square for squared consumers).  Raises NonFiniteError unless every
     entry is finite.
     """
+    # h is a fresh array in both branches, so the conversions work in place
     if state.source == "grad-square":
         h = curvature_grad_square(g)
         if state.rule != "squared-ema":
-            h = np.sqrt(h)
+            np.sqrt(h, out=h)
     else:
         h = curvature_hutchinson(problem, z, rademacher_rng)
         if state.rule == "squared-ema":
-            h = h * h
-    if not np.isfinite(h).all():
+            np.multiply(h, h, out=h)
+    if not P._all_finite(h):
         raise NonFiniteError("curvature entries must be finite")
     return h
 

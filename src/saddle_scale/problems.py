@@ -33,6 +33,8 @@ from .errors import (
 
 KINDS = ("quadratic", "bilinear", "minty-example")
 
+MINTY_BLOCK_ROWS = 64  # grid rows per block in verify_minty
+
 
 def _as_vector(v, name):
     arr = np.ascontiguousarray(np.asarray(v, dtype=np.float64))
@@ -44,6 +46,12 @@ def _as_vector(v, name):
 def _freeze(arr):
     arr.flags.writeable = False
     return arr
+
+
+def _all_finite(v):
+    """Whether every entry of ``v`` is finite; a finite dot(v, v) proves it
+    without the entrywise test."""
+    return math.isfinite(np.dot(v, v)) or bool(np.isfinite(v).all())
 
 
 @dataclass(frozen=True)
@@ -218,8 +226,8 @@ def hvp_into(p, z_cat, v_cat, out):
     """
     if p.kind == "quadratic":
         dx = p.d_x
-        out[:dx] = np.dot(p.A, v_cat[:dx])
-        out[dx:] = np.dot(p.C, v_cat[dx:])
+        np.dot(p.A, v_cat[:dx], out=out[:dx])
+        np.dot(p.C, v_cat[dx:], out=out[dx:])
     elif p.kind == "bilinear":
         out[:] = 0.0
     else:
@@ -320,6 +328,9 @@ def verify_minty(p, radius, grid_n):
     """Check <F(z), z - z*> >= -1e-12 on a uniform grid_n x grid_n grid
     over the radius-box around z*.  Only 1+1 dimensional problems qualify
     for exhaustive grid certification.
+
+    The grid is evaluated MINTY_BLOCK_ROWS rows at a time, so memory stays
+    O(grid_n) per block however fine the grid.
     """
     if p.z_star is None:
         raise PreconditionError("verify_minty needs a problem with known z_star")
@@ -329,21 +340,24 @@ def verify_minty(p, radius, grid_n):
         raise CapabilityError("grid certification requires d_x = d_y = 1")
     xs = np.linspace(p.z_star.x[0] - radius, p.z_star.x[0] + radius, grid_n)
     ys = np.linspace(p.z_star.y[0] - radius, p.z_star.y[0] + radius, grid_n)
-    X, Y = np.meshgrid(xs, ys)
-    if p.kind == "quadratic":
-        A, B, C = p.A[0, 0], p.B[0, 0], p.C[0, 0]
-        a, c = p.a[0], p.c[0]
-        FX = A * X + B * Y + a
-        FY = C * Y - B * X + c
-    elif p.kind == "bilinear":
-        B = p.B[0, 0]
-        FX = B * Y
-        FY = -B * X
-    else:
-        FX = Y + X + p.alpha * np.sin(X)
-        FY = -X + Y + p.alpha * np.sin(Y)
-    inner = FX * (X - p.z_star.x[0]) + FY * (Y - p.z_star.y[0])
-    return bool(inner.min() >= -1e-12)
+    for start in range(0, grid_n, MINTY_BLOCK_ROWS):
+        X, Y = np.meshgrid(xs, ys[start:start + MINTY_BLOCK_ROWS])
+        if p.kind == "quadratic":
+            A, B, C = p.A[0, 0], p.B[0, 0], p.C[0, 0]
+            a, c = p.a[0], p.c[0]
+            FX = A * X + B * Y + a
+            FY = C * Y - B * X + c
+        elif p.kind == "bilinear":
+            B = p.B[0, 0]
+            FX = B * Y
+            FY = -B * X
+        else:
+            FX = Y + X + p.alpha * np.sin(X)
+            FY = -X + Y + p.alpha * np.sin(Y)
+        inner = FX * (X - p.z_star.x[0]) + FY * (Y - p.z_star.y[0])
+        if not inner.min() >= -1e-12:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def _cap_for(problem, traj, scaling):
     origin-of-z* ball that provably contains every visited iterate."""
     if scaling.source == "hutchinson":
         return gamma_bound("hutchinson", problem)
-    radius = math.sqrt(max(r.dist2 for r in traj.records)) * (1 + 1e-9)
+    radius = math.sqrt(traj.records.dist2.max()) * (1 + 1e-9)
     return gamma_bound("grad-square", problem, region_radius=radius)
 
 
@@ -155,7 +155,7 @@ def _check_scaling_range(seed):
         scaling = traj.config.scaling
         cap = _cap_for(problem, traj, scaling)
         e = scaling.floor_e
-        entries = np.array([s.clipped for s in traj.scaling_trace])
+        entries = traj.scaling_trace.clipped
         bad = (entries < e).any(axis=1) | (entries > cap).any(axis=1)
         violations += int(np.count_nonzero(bad))
         worst = max(worst, float(entries.max()) / cap)
@@ -178,17 +178,17 @@ def _check_scaling_growth(seed):
             dataclasses.replace(scaling, update_prob=1.0, update_every_k=None),
             cap)
         trace = traj.scaling_trace
-        for k in range(len(trace) - 1):
-            prev, cur = trace[k], trace[k + 1]
-            checked += 1
-            if cur.fired:
-                factor = 1.0 + (1.0 - beta_t(scaling.schedule, scaling.beta,
-                                             k + 1)) * c_full
-                ok = np.all(cur.clipped <= factor * prev.clipped + 1e-12)
-            else:
-                ok = np.all(cur.clipped <= prev.clipped)
-            if not ok:
-                violations += 1
+        n = len(trace)
+        # step k + 1 against step k: a fired step may grow each entry by its
+        # factor, a skipped one not at all
+        factors = np.array([
+            1.0 + (1.0 - beta_t(scaling.schedule, scaling.beta, k)) * c_full
+            for k in range(1, n)])
+        prev, cur = trace.clipped[:-1], trace.clipped[1:]
+        limit = np.where(trace.fired[1:, None],
+                         factors[:, None] * prev + 1e-12, prev)
+        checked += max(n - 1, 0)
+        violations += int(np.count_nonzero(~(cur <= limit).all(axis=1)))
     return (violations == 0,
             f"violations={violations} over {checked} steps",
             "0 violations")
@@ -220,7 +220,7 @@ def _check_sc_contraction(seed):
         if not rep.passed:
             return (False, f"per-step violation at t={rep.first_violation[0]}",
                     "no violations")
-        d0 = traj.records[0].dist2
+        d0 = float(traj.records.dist2[0])
         final = traj.final_z.as_vector() - problem.z_star.as_vector()
         ratio = float(final @ final) / d0
         worst_ratio = max(worst_ratio, ratio)
@@ -266,8 +266,8 @@ def _check_divergence_split(seed):
     eg = run(problem, OptimizerConfig(
         method="extragrad", T=100, seed=seed, scaling=scaling, gamma=0.1,
         z0=z0))
-    dists = [r.dist2 for r in eg.records]
-    monotone = all(b < a for a, b in zip(dists, dists[1:]))
+    dists = eg.records.dist2
+    monotone = bool(np.all(dists[1:] < dists[:-1]))
     return (rel <= 1e-10 and monotone,
             f"growth rel err={rel:.2e}, extragrad monotone={monotone}",
             "rel err <= 1e-10 and strictly decreasing")
@@ -402,16 +402,9 @@ def _check_nonmonotone_trend(seed):
                           scaling=scaling, gamma=gamma, batch=10_000)
     traj = run(problem, cfg)
     checkpoints = [1000, 10_000, 100_000]
-    mins = []
-    best = math.inf
-    next_cp = 0
-    for r in traj.records:
-        best = min(best, r.grad_norm2)
-        if r.t + 1 == checkpoints[next_cp]:
-            mins.append(best)
-            next_cp += 1
-            if next_cp == len(checkpoints):
-                break
+    # records[t] is iteration t, so checkpoint c closes after c records
+    best = np.minimum.accumulate(traj.records.grad_norm2)
+    mins = [float(best[c - 1]) for c in checkpoints]
     slope = fit_rate(mins, ts=checkpoints, mode="loglog", burn_in=0.0)
     return (slope <= -0.7,
             f"slope={slope:.2f}, best grad_norm2={['%.1e' % m for m in mins]}",
@@ -436,10 +429,11 @@ def _check_momentum_parity(seed):
 
         def watch(chunk):
             if state["target"] is None:
-                state["target"] = 1e-12 * chunk[0].dist2
-            for r in chunk:
-                if state["hit"] is None and r.dist2 <= state["target"]:
-                    state["hit"] = r.t
+                state["target"] = 1e-12 * chunk.dist2[0]
+            if state["hit"] is None:
+                hits = np.flatnonzero(chunk.dist2 <= state["target"])
+                if hits.size:
+                    state["hit"] = int(chunk.t[hits[0]])
         run(problem, cfg, on_records=watch)
         return state["hit"]
 

@@ -19,6 +19,7 @@ from saddle_scale.errors import (
     PreconditionError,
 )
 from saddle_scale.metrics import (
+    Records,
     RunRecord,
     check_scalar_inequality,
     contraction_check,
@@ -250,9 +251,25 @@ def test_run_record_defaults():
 
 
 def mk_records(r2_values):
-    return [RunRecord(t=i, r2_weighted=v, dist2=v, grad_norm2=v,
-                      dhat_min=1.0, dhat_max=1.0, grad_calls=2 * (i + 1))
-            for i, v in enumerate(r2_values)]
+    return Records(np.array([[i, v, v, v, 1.0, 1.0, 2 * (i + 1)]
+                             for i, v in enumerate(r2_values)]))
+
+
+def test_records_view_reads_rows_and_columns():
+    recs = mk_records([3.0, 2.0, 1.0])
+    assert len(recs) == 3
+    last = recs[-1]
+    assert last == RunRecord(t=2, r2_weighted=1.0, dist2=1.0, grad_norm2=1.0,
+                             dhat_min=1.0, dhat_max=1.0, grad_calls=6)
+    assert type(last.t) is int and type(last.grad_calls) is int
+    assert type(last.dist2) is float
+    assert list(recs) == [recs[0], recs[1], recs[2]]
+    assert list(recs[1:]) == list(recs)[1:]
+    np.testing.assert_array_equal(recs.r2_weighted, [3.0, 2.0, 1.0])
+    np.testing.assert_array_equal(recs[1:].t, [1.0, 2.0])
+    assert not recs.dist2.flags.writeable
+    with pytest.raises(IndexError):
+        recs[3]
 
 
 def test_noise_floor_is_median_of_tail():

@@ -10,6 +10,7 @@ directly against the field oracle cross-checks the production loop.
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,7 +193,7 @@ def test_run_t_zero_convention():
         cfg = OptimizerConfig(method=method, gamma=0.01,
                               scaling=identity(2, 2), T=0, seed=0, z0=z0)
         traj = run(p, cfg)
-        assert traj.records == []
+        assert len(traj.records) == 0
         assert traj.grad_calls == calls
         np.testing.assert_array_equal(traj.final_z.as_vector(), z0.as_vector())
         np.testing.assert_array_equal(
@@ -404,8 +405,9 @@ def test_engine_matches_single_steps_bit_for_bit(method, sigma, scaling):
     for entry, (_, clipped) in zip(traj.scaling_trace, trace):
         assert np.array_equal(entry.clipped, clipped)
         assert not entry.clipped.flags.writeable
-        # a fired step holds its own array, a skipped one the previous one
-        assert (entry.clipped is prev) == (not entry.fired)
+        # a skipped step keeps the previous step's diagonal
+        if not entry.fired and prev is not None:
+            assert np.array_equal(entry.clipped, prev)
         prev = entry.clipped
 
 
@@ -429,6 +431,44 @@ def test_trace_scaling_captures_fires_and_vectors():
     no_trace = run(p, OptimizerConfig(method="extragrad", gamma=0.001,
                                       scaling=scaling, T=3, seed=5))
     assert no_trace.scaling_trace is None
+
+
+def test_trace_view_rows_slices_and_columns():
+    p = make_quadratic(3, 2, mu=0.5, L=2.0, seed=0)
+    scaling = scaling_preset("oasis", 3, 2, update_prob=0.5)
+    traj = run(p, OptimizerConfig(method="sgda", gamma=0.001, scaling=scaling,
+                                  T=20, seed=5, trace_scaling=True))
+    trace = traj.scaling_trace
+    assert trace.clipped.shape == (20, 5) and trace.fired.dtype == bool
+    assert not trace.clipped.flags.writeable
+    assert not trace.fired.flags.writeable
+    last = trace[-1]
+    assert type(last.fired) is bool
+    np.testing.assert_array_equal(last.clipped_x, trace.clipped[19, :3])
+    np.testing.assert_array_equal(last.clipped_y, trace.clipped[19, 3:])
+    tail = trace[15:]
+    assert len(tail) == 5 and tail.d_x == 3
+    assert [e.fired for e in tail] == trace.fired[15:].tolist()
+    with pytest.raises(IndexError):
+        trace[20]
+
+
+def test_long_run_holds_half_z_and_56_bytes_per_record():
+    # the records are one (T, 7) float64 block; per-record objects would
+    # hold several hundred bytes each
+    p = make_quadratic(10, 10, mu=1.0, L=2.0, seed=3, sigma=0.5)
+    scaling = scaling_preset("rmsprop", 10, 10)
+    cfg = OptimizerConfig(method="sgda", T=20_000, seed=1, scaling=scaling,
+                          gamma=0.01, batch=8)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = run(p, cfg)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(traj.records) == 20_000
+    assert held <= traj.half_z.nbytes + 100 * len(traj.records)
 
 
 def test_record_weighted_distance_sandwich():
@@ -491,10 +531,13 @@ def test_on_records_streams_in_chunks():
     cfg = OptimizerConfig(method="sgda", gamma=0.01, scaling=identity(2, 2),
                           T=2500, seed=0)
     chunks = []
-    traj = run(p, cfg, on_records=lambda rs: chunks.append(list(rs)))
+    traj = run(p, cfg, on_records=chunks.append)
     assert [len(c) for c in chunks] == [1000, 1000, 500]
+    # each chunk is a view of rows the run never writes again
     flat = [r for c in chunks for r in c]
-    assert flat == traj.records
+    assert flat == list(traj.records)
+    assert np.array_equal(np.concatenate([c.block for c in chunks]),
+                          traj.records.block)
 
 
 def test_sgda_diverges_on_bilinear_with_partial_trajectory():

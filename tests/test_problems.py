@@ -224,6 +224,21 @@ def test_minty_certified_on_large_grid():
     assert inner.min() >= -1e-12
 
 
+@pytest.mark.parametrize("alpha, radius, grid_n", [
+    (1.7, 10.0, 1001), (5.0, 10.0, 1001), (40.0, 3.0, 130), (1.9, 3.0, 64)])
+def test_verify_minty_blocks_match_the_whole_grid(alpha, radius, grid_n):
+    # the blocked certification against the whole grid at once, for passing
+    # (alpha < 2) and failing alphas and grids that are not whole blocks
+    p = SaddleProblem(kind="minty-example", d_x=1, d_y=1, mu=0.0,
+                      L=2.0 + alpha, alpha=alpha,
+                      z_star=PointPair(np.zeros(1), np.zeros(1)))
+    xs = np.linspace(-radius, radius, grid_n)
+    X, Y = np.meshgrid(xs, xs)
+    inner = ((Y + X + alpha * np.sin(X)) * X
+             + (-X + Y + alpha * np.sin(Y)) * Y)
+    assert verify_minty(p, radius, grid_n) == (inner.min() >= -1e-12)
+
+
 def test_minty_is_not_monotone():
     # the x-block curvature 1 + alpha*cos(x) must go negative somewhere,
     # otherwise the example would be monotone and uninteresting

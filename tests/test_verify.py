@@ -1,0 +1,108 @@
+"""The column audits behind verify's ``scaling-range`` and ``scaling-growth``.
+
+Short traced runs stand in for the checks' cached 1e4-step runs, and one
+violation at a time is planted into a copy of a run's trace.  Each audit
+must count exactly that one.
+"""
+
+import dataclasses
+import re
+
+import pytest
+
+from saddle_scale import verify
+from saddle_scale.optim import OptimizerConfig, ScalingTrace, run
+from saddle_scale.precond import beta_t, growth_constant, scaling_preset
+from saddle_scale.problems import make_quadratic
+
+SEED = 5
+T = 300
+
+
+def traced_run(problem, scaling, seed):
+    return run(problem, OptimizerConfig(
+        method="sgda", T=T, seed=seed, scaling=scaling,
+        gamma=scaling.floor_e / (4.0 * problem.L), batch=8,
+        trace_scaling=True))
+
+
+@pytest.fixture()
+def cached_runs(monkeypatch):
+    """verify's run cache, filled with short runs for SEED: the four
+    presets and the probabilistic-update run the growth check adds."""
+    monkeypatch.setattr(verify, "_RANGE_CACHE", {})
+    problem = make_quadratic(10, 10, mu=1.0, L=2.0, seed=101, sigma=0.5)
+    presets = [(name, problem, traced_run(problem,
+                                          scaling_preset(name, 10, 10), SEED))
+               for name in ("adam", "rmsprop", "adahessian", "oasis")]
+    skip = ("oasis-p0.3", problem, traced_run(
+        problem, scaling_preset("oasis", 10, 10, update_prob=0.3), SEED + 1))
+    verify._RANGE_CACHE[("presets", SEED)] = presets
+    verify._RANGE_CACHE[("skip", SEED)] = skip
+    return verify._RANGE_CACHE
+
+
+def planted(cached, step, entry, value):
+    """A cached (label, problem, trajectory) whose trace has ``value`` at
+    ``[step, entry]``."""
+    label, problem, traj = cached
+    trace = traj.scaling_trace
+    clipped = trace.clipped.copy()
+    clipped[step, entry] = value
+    return label, problem, dataclasses.replace(
+        traj, scaling_trace=ScalingTrace(clipped, trace.fired, trace.d_x))
+
+
+def violations(name):
+    measured = verify.run_check(name, seed=SEED).measured
+    return int(re.search(r"violations=(\d+)", measured).group(1))
+
+
+def growth_limit(problem, traj, k, entry):
+    """The growth check's bound on entry ``entry`` at fired step ``k``."""
+    scaling = traj.config.scaling
+    cap = verify._cap_for(problem, traj, scaling)
+    c_full = growth_constant(
+        dataclasses.replace(scaling, update_prob=1.0, update_every_k=None),
+        cap)
+    factor = 1.0 + (1.0 - beta_t(scaling.schedule, scaling.beta, k)) * c_full
+    return factor * traj.scaling_trace.clipped[k - 1, entry] + 1e-12
+
+
+def test_clean_runs_have_no_violations(cached_runs):
+    assert violations("scaling-range") == 0
+    assert violations("scaling-growth") == 0
+
+
+def test_range_counts_an_entry_below_the_floor(cached_runs):
+    presets = cached_runs[("presets", SEED)]
+    _, _, traj = presets[3]
+    presets[3] = planted(presets[3], 17, 4, traj.config.scaling.floor_e / 2)
+    assert violations("scaling-range") == 1
+
+
+def test_range_counts_an_entry_above_gamma(cached_runs):
+    presets = cached_runs[("presets", SEED)]
+    _, problem, traj = presets[1]
+    cap = verify._cap_for(problem, traj, traj.config.scaling)
+    presets[1] = planted(presets[1], 250, 12, 2.0 * cap)
+    assert violations("scaling-range") == 1
+
+
+def test_growth_counts_a_fired_step_above_its_factor(cached_runs):
+    key = ("skip", SEED)
+    _, problem, traj = cached_runs[key]
+    k = next(k for k in range(1, T) if traj.scaling_trace.fired[k])
+    cached_runs[key] = planted(cached_runs[key], k, 7,
+                               1.5 * growth_limit(problem, traj, k, 7))
+    assert violations("scaling-growth") == 1
+
+
+def test_growth_counts_a_skipped_step_that_grows(cached_runs):
+    key = ("skip", SEED)
+    _, _, traj = cached_runs[key]
+    k = next(k for k in range(1, T) if not traj.scaling_trace.fired[k])
+    # well inside the fired factor, so only the skipped-step rule sees it
+    grown = traj.scaling_trace.clipped[k - 1, 2] * 1.001
+    cached_runs[key] = planted(cached_runs[key], k, 2, grown)
+    assert violations("scaling-growth") == 1
