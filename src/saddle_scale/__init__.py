@@ -22,20 +22,15 @@ from .errors import (
 from .metrics import (
     ContractionReport,
     RunRecord,
-    check_scalar_inequality,
     contraction_check,
     fit_rate,
     gap_restricted,
     noise_floor,
-    weighted_dist_sq,
 )
 from .optim import (
-    AVERAGING,
     METHODS,
     OptimizerConfig,
-    RunStreams,
     Trajectory,
-    resolve_gamma,
     run,
     step_extragrad,
     step_sgda,
@@ -49,48 +44,36 @@ from .precond import (
     SCHEDULES,
     SOURCES,
     ScalingState,
-    advance,
     beta_t,
-    curvature_grad_square,
     curvature_hutchinson,
     gamma_bound,
     growth_constant,
-    growth_factor,
-    hutchinson_probe,
     scaling_preset,
-    update,
 )
 from .problems import (
     KINDS,
     PointPair,
     SaddleProblem,
-    field,
-    gradient,
     make_bilinear,
     make_minty,
     make_quadratic,
     quadratic_from_matrices,
-    solve_exact,
-    verify_minty,
 )
 from .verify import CheckResult, run_all, run_check
 
 __version__ = "0.1.0"
 
+
 __all__ = [
-    "AVERAGING", "CLIP_VARIANTS", "CapabilityError", "CheckResult",
-    "ConfigError", "ContractionReport", "DimensionMismatchError",
-    "DivergenceError", "InvalidParameterError", "KINDS", "METHODS",
-    "NoUniqueSolutionError", "NonFiniteError", "OptimizerConfig",
-    "PRESET_NAMES", "PointPair", "PreconditionError", "RULES", "RunRecord",
-    "RunStreams", "SCHEDULES", "SOURCES", "SaddleProblem", "SaddleScaleError",
-    "ScalingState", "Trajectory", "advance", "beta_t",
-    "check_scalar_inequality", "contraction_check", "curvature_grad_square",
-    "curvature_hutchinson", "field", "fit_rate", "gamma_bound",
-    "gap_restricted", "gradient", "growth_constant", "growth_factor",
-    "hutchinson_probe", "make_bilinear", "make_minty", "make_quadratic",
-    "noise_floor", "quadratic_from_matrices", "resolve_gamma", "run",
-    "run_all", "run_check", "scaling_preset", "solve_exact", "step_extragrad",
-    "step_sgda", "step_single_call", "update", "verify_minty",
-    "warm_start_single_call", "weighted_dist_sq",
+    "CLIP_VARIANTS", "CapabilityError", "CheckResult", "ConfigError",
+    "ContractionReport", "DimensionMismatchError", "DivergenceError",
+    "InvalidParameterError", "KINDS", "METHODS", "NoUniqueSolutionError",
+    "NonFiniteError", "OptimizerConfig", "PRESET_NAMES", "PointPair",
+    "PreconditionError", "RULES", "RunRecord", "SCHEDULES", "SOURCES",
+    "SaddleProblem", "SaddleScaleError", "ScalingState", "Trajectory",
+    "beta_t", "contraction_check", "curvature_hutchinson", "fit_rate",
+    "gamma_bound", "gap_restricted", "growth_constant", "make_bilinear",
+    "make_minty", "make_quadratic", "noise_floor", "quadratic_from_matrices",
+    "run", "run_all", "run_check", "scaling_preset", "step_extragrad",
+    "step_sgda", "step_single_call", "warm_start_single_call",
 ]

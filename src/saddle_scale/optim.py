@@ -44,7 +44,6 @@ from .precond import (
 from .problems import PointPair, _all_finite, add_noise, field_into, gradient
 
 METHODS = ("extragrad", "single-call-momentum", "sgda")
-AVERAGING = ("none", "uniform", "ema")
 
 DIVERGENCE_RADIUS = 1e12
 STREAM_CHUNK = 1000
@@ -129,7 +128,6 @@ class OptimizerConfig:
     eta: float = 0.0
     anchor_prob: float = 0.25
     batch: int = 1
-    averaging: str = "uniform"
     ema_lambda: float = 0.999
     theory_safe: bool = False
     z0: PointPair | None = None
@@ -138,18 +136,18 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidParameterError(f"unknown method {self.method!r}")
-        if self.T < 0:
+        if problems._as_count(self.T, "T") < 0:
             raise InvalidParameterError("T must be non-negative")
+        if problems._as_count(self.seed, "seed") < 0:
+            raise InvalidParameterError("seed must be non-negative")
         if self.gamma is not None and not self.gamma > 0:
             raise InvalidParameterError("gamma must be positive")
-        if self.eta < 0:
+        if not self.eta >= 0:
             raise InvalidParameterError("eta must be non-negative")
         if not 0.0 < self.anchor_prob <= 1.0:
             raise InvalidParameterError("anchor_prob must lie in (0, 1]")
-        if self.batch < 1:
+        if problems._as_count(self.batch, "batch") < 1:
             raise InvalidParameterError("batch must be a positive integer")
-        if self.averaging not in AVERAGING:
-            raise InvalidParameterError(f"unknown averaging {self.averaging!r}")
         if not 0.0 <= self.ema_lambda < 1.0:
             raise InvalidParameterError("ema_lambda must lie in [0, 1)")
 

@@ -13,6 +13,7 @@ comes either from gradient squares or from a Rademacher diagonal estimate
 v * (Hessian @ v).
 """
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -39,8 +40,8 @@ class ScalingState:
     ``raw`` holds the running average over the concatenated (x, y)
     coordinates (squared diagonals for squared-ema); ``clipped`` holds the
     floored entries actually dividing gradients.  Both are read-only, and
-    raw_x/raw_y/clipped_x/clipped_y are views of their first ``d_x`` and
-    remaining entries.  ``t`` counts update calls, fired or skipped, so beta
+    clipped_x/clipped_y are views of clipped's first ``d_x`` and remaining
+    entries.  ``t`` counts update calls, fired or skipped, so beta
     schedules depend only on time.
     """
 
@@ -57,14 +58,6 @@ class ScalingState:
     clip_variant: str = "max"
     update_every_k: int | None = None
     last_fired: bool = False
-
-    @property
-    def raw_x(self):
-        return self.raw[: self.d_x]
-
-    @property
-    def raw_y(self):
-        return self.raw[self.d_x :]
 
     @property
     def clipped_x(self):
@@ -92,7 +85,7 @@ class ScalingState:
         if not 0.0 < update_prob <= 1.0:
             raise InvalidParameterError("update_prob must lie in (0, 1]")
         if update_every_k is not None:
-            if update_every_k < 1:
+            if P._as_count(update_every_k, "update_every_k") < 1:
                 raise InvalidParameterError("update_every_k must be >= 1")
             if update_prob < 1.0:
                 raise InvalidParameterError(
@@ -169,11 +162,6 @@ def beta_t(schedule, beta, t):
 # curvature sources
 
 
-def curvature_grad_square(g):
-    """Entrywise gradient squares (squared-ema consumers)."""
-    return g * g
-
-
 def hutchinson_probe(p, z, v):
     """Diagonal probe v * (H v) at the concatenated iterate ``z`` for a
     given sign vector ``v`` over both blocks."""
@@ -210,7 +198,7 @@ def curvature_for(state, problem, z, g, rademacher_rng):
     """
     # h is a fresh array in both branches, so the conversions work in place
     if state.source == "grad-square":
-        h = curvature_grad_square(g)
+        h = g * g
         if state.rule != "squared-ema":
             np.sqrt(h, out=h)
     else:
@@ -278,33 +266,6 @@ def ema_clip_into(state, t, h, raw, clipped):
         np.maximum(clipped, state.floor_e, out=clipped)
 
 
-def _apply(state, h, fire):
-    if fire:
-        raw = state.raw.copy()
-        clipped = np.empty_like(raw)
-        ema_clip_into(state, state.t, h, raw, clipped)
-        raw, clipped = P._freeze(raw), P._freeze(clipped)
-    else:
-        # clipping is a function of raw, so a skip keeps both arrays
-        raw, clipped = state.raw, state.clipped
-    out = object.__new__(ScalingState)
-    d = out.__dict__
-    d["rule"] = state.rule
-    d["source"] = state.source
-    d["schedule"] = state.schedule
-    d["beta"] = state.beta
-    d["floor_e"] = state.floor_e
-    d["update_prob"] = state.update_prob
-    d["raw"] = raw
-    d["clipped"] = clipped
-    d["d_x"] = state.d_x
-    d["t"] = state.t + 1
-    d["clip_variant"] = state.clip_variant
-    d["update_every_k"] = state.update_every_k
-    d["last_fired"] = fire
-    return out
-
-
 def update(state, h, rng_stream):
     """Advance the scaling by one call with the curvature vector ``h`` over
     both blocks: fire the EMA with probability ``update_prob`` (one shared
@@ -332,7 +293,15 @@ def advance(state, rng_stream, curvature_fn):
     counts therefore cover only curvature that was computed.
     """
     fire = fires(state, state.t, rng_stream)
-    return _apply(state, curvature_fn() if fire else None, fire)
+    # clipping is a function of raw, so a skip keeps both arrays
+    raw, clipped = state.raw, state.clipped
+    if fire:
+        raw, clipped = raw.copy(), np.empty_like(raw)
+        ema_clip_into(state, state.t, curvature_fn(), raw, clipped)
+        P._freeze(raw)
+        P._freeze(clipped)
+    return dataclasses.replace(state, raw=raw, clipped=clipped, t=state.t + 1,
+                               last_fired=fire)
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +327,9 @@ def gamma_bound(source, p, region_radius=None):
         raise InvalidParameterError("region_radius must be non-negative")
     if p.z_star is None:
         raise PreconditionError("grad-square bound needs a known z*")
-    f_star = float(np.linalg.norm(P.field(p, p.z_star)))
-    return f_star + p.L * float(region_radius) + p.noise_bound
+    z_star = p.z_star.as_vector()
+    f_star = np.linalg.norm(P.field_into(p, z_star, np.empty_like(z_star)))
+    return float(f_star) + p.L * float(region_radius) + p.noise_bound
 
 
 def _effective_prob(state):

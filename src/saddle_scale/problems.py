@@ -16,7 +16,9 @@ gradient: zero mean, per-coordinate variance sigma^2, hard norm bound
 exact on all of R^d and leaves per-sample Hessians equal to the true ones.
 """
 
+import dataclasses
 import math
+import operator
 import threading
 from dataclasses import dataclass, field as _dc_field
 
@@ -41,6 +43,14 @@ def _as_vector(v, name):
     if arr.ndim != 1:
         raise InvalidParameterError(f"{name} must be a 1-d real vector")
     return arr
+
+
+def _as_count(v, name):
+    """``v`` as an int; counts must be integral (numpy ints qualify)."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer") from None
 
 
 def _freeze(arr):
@@ -118,12 +128,14 @@ class SaddleProblem:
             raise InvalidParameterError(f"unknown kind {self.kind!r}")
         if self.d_x < 1 or self.d_y < 1:
             raise InvalidParameterError("dimensions must be positive")
-        if self.L <= 0:
+        if not self.L > 0:
             raise InvalidParameterError("L must be positive")
-        if self.mu < 0:
+        if not self.mu >= 0:
             raise InvalidParameterError("mu must be non-negative")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise InvalidParameterError("sigma must be non-negative")
+        if not self.noise_bound >= 0:
+            raise InvalidParameterError("noise_bound must be non-negative")
         if self.B is not None and self.BT is None:
             object.__setattr__(self, "BT", self.B.T.copy())
         for name in ("A", "B", "C", "BT"):
@@ -154,18 +166,7 @@ class SaddleProblem:
 
 
 def _default_bound(sigma, noise_bound):
-    if noise_bound is None:
-        return 10.0 * sigma
-    if noise_bound < 0:
-        raise InvalidParameterError("noise_bound must be non-negative")
-    return float(noise_bound)
-
-
-def _check_z(p, z):
-    if z.d_x != p.d_x or z.d_y != p.d_y:
-        raise DimensionMismatchError(
-            f"iterate has dims ({z.d_x},{z.d_y}), problem wants ({p.d_x},{p.d_y})"
-        )
+    return 10.0 * sigma if noise_bound is None else float(noise_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -236,13 +237,6 @@ def hvp_into(p, z_cat, v_cat, out):
     return out
 
 
-def field(p, z):
-    """Deterministic field F(z) as a concatenated vector."""
-    _check_z(p, z)
-    out = np.empty(p.d_x + p.d_y)
-    return field_into(p, z.as_vector(), out)
-
-
 def noise_into(p, seed, batch, out):
     """Clipped-Gaussian noise keyed by ``seed``, written into ``out``.
 
@@ -270,9 +264,9 @@ def add_noise(p, f, seed, batch):
     Returns a new vector, or ``f`` itself on a noise-free problem; ``f`` is
     never written.  Raises NonFiniteError unless every entry is finite.
     """
-    if batch < 1:
+    if _as_count(batch, "batch") < 1:
         raise InvalidParameterError("batch must be a positive integer")
-    if seed < 0:
+    if _as_count(seed, "seed") < 0:
         raise InvalidParameterError("seed must be non-negative")
     g = f
     if p.sigma > 0.0:
@@ -398,18 +392,10 @@ def quadratic_from_matrices(A, B, C, a, c, sigma=0.0, noise_bound=None,
         noise_bound=_default_bound(sigma, noise_bound), seed=seed,
         A=A, B=B, C=C, a=a, c=c,
     )
-    z_star = None
     try:
-        z_star = solve_exact(prob)
+        return dataclasses.replace(prob, z_star=solve_exact(prob))
     except NoUniqueSolutionError:
-        pass
-    if z_star is None:
         return prob
-    return SaddleProblem(
-        kind="quadratic", d_x=dx, d_y=dy, mu=prob.mu, L=L, sigma=sigma,
-        noise_bound=prob.noise_bound, seed=seed, A=A, B=B, C=C, a=a, c=c,
-        z_star=z_star,
-    )
 
 
 def _random_orthogonal(rng, d):
@@ -468,12 +454,7 @@ def make_quadratic(d_x, d_y, mu, L, seed, sigma=0.0, noise_bound=None):
         sigma=sigma, noise_bound=_default_bound(sigma, noise_bound),
         seed=seed, A=A, B=B, C=C, a=a, c=c,
     )
-    z_star = solve_exact(prob)
-    return SaddleProblem(
-        kind="quadratic", d_x=d_x, d_y=d_y, mu=float(mu), L=float(L),
-        sigma=sigma, noise_bound=prob.noise_bound, seed=seed,
-        A=A, B=B, C=C, a=a, c=c, z_star=z_star,
-    )
+    return dataclasses.replace(prob, z_star=solve_exact(prob))
 
 
 def make_bilinear(d, L, seed, sigma=0.0, noise_bound=None):
@@ -481,7 +462,7 @@ def make_bilinear(d, L, seed, sigma=0.0, noise_bound=None):
     to L and the rest uniform in [L/4, L] (nonsingular, so z* = 0)."""
     if d < 1:
         raise InvalidParameterError("d must be positive")
-    if L <= 0:
+    if not L > 0:
         raise InvalidParameterError("L must be positive")
     rng = np.random.default_rng(seed)
     if d == 1:

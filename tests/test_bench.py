@@ -80,6 +80,8 @@ def test_defaults_filled_in(tmp_path):
         "rule": "additive-ema", "source": "hutchinson",
         "schedule": "constant-beta", "beta": 1.5, "floor_e": 0.01}),
         "optimizers[0].scaling.beta", id="beta-above-one"),
+    pytest.param(lambda c: c["optimizers"][0].update(averaging="harmonic"),
+                 "optimizers[0].averaging", id="averaging-unknown"),
 ])
 def test_validation_names_offending_field(tmp_path, mutate, field):
     cfg = minimal_config(tmp_path)

@@ -146,8 +146,7 @@ def _variant_configs(problems):
             method="extragrad", T=40, seed=6, gamma=1e-2, batch=4,
             scaling=scaling_preset("adahessian", 1, 1))),
         "full-form-add-clip": (q, dict(
-            method="sgda", T=40, seed=8, gamma=5e-3, averaging="ema",
-            ema_lambda=0.9,
+            method="sgda", T=40, seed=8, gamma=5e-3, ema_lambda=0.9,
             scaling=ScalingState.create(
                 rule="additive-ema", source="grad-square",
                 schedule="adam-debias", beta=0.9, floor_e=0.05,

@@ -33,7 +33,6 @@ from saddle_scale.precond import scaling_preset
 from saddle_scale.problems import (
     PointPair,
     SaddleProblem,
-    field,
     field_into,
     gradient,
     make_bilinear,
@@ -59,9 +58,9 @@ def eg_reference(p, z0, gamma, T):
     """Textbook extragradient on the deterministic field, no scaling."""
     z = z0.as_vector().copy()
     for _ in range(T):
-        g = field(p, PointPair(z[: p.d_x], z[p.d_x :]))
+        g = F(p, z)
         zh = z - gamma * g
-        gh = field(p, PointPair(zh[: p.d_x], zh[p.d_x :]))
+        gh = F(p, zh)
         z = z - gamma * gh
     return z
 
@@ -227,7 +226,7 @@ def test_running_ema_average_limits():
     p = xy_game()
     mk = lambda lam: OptimizerConfig(
         method="extragrad", gamma=0.1, scaling=identity(), T=5, seed=0,
-        averaging="ema", ema_lambda=lam, z0=PointPair([1.0], [1.0]))
+        ema_lambda=lam, z0=PointPair([1.0], [1.0]))
     # lambda = 0 keeps only the newest half-iterate
     traj = run(p, mk(0.0))
     np.testing.assert_array_equal(traj.final_avg_ema.as_vector(),
@@ -244,7 +243,7 @@ def test_average_of_empty_trajectory_is_z0():
     p = xy_game()
     z0 = PointPair([1.0], [-2.0])
     cfg = OptimizerConfig(method="extragrad", gamma=0.1, scaling=identity(),
-                          T=0, seed=0, averaging="ema", z0=z0)
+                          T=0, seed=0, z0=z0)
     traj = run(p, cfg)
     assert traj.half_z.shape == (0, 2)
     for avg in (traj.final_avg_uniform, traj.final_avg_ema):
@@ -385,7 +384,7 @@ def test_engine_matches_single_steps_bit_for_bit(method, sigma, scaling):
     cfg = OptimizerConfig(method=method, T=40, seed=11, gamma=0.002,
                           eta=0.004 if method == "single-call-momentum"
                           else 0.0,
-                          batch=2, averaging="ema", ema_lambda=0.9,
+                          batch=2, ema_lambda=0.9,
                           scaling=ENGINE_SCALINGS[scaling](),
                           trace_scaling=True)
     traj = run(p, cfg)
@@ -487,7 +486,7 @@ def test_record_weighted_distance_sandwich():
 def test_batch_shrinks_noise():
     p = make_quadratic(2, 2, mu=0.5, L=2.0, seed=0, sigma=1.0)
     z = PointPair([0.3, -0.1], [0.2, 0.5])
-    det = field(p, z)
+    det = F(p, z.as_vector())
     noisy = gradient(p, z.as_vector(), seed=1, batch=10_000)
     assert np.linalg.norm(noisy - det) <= p.noise_bound / 100.0 + 1e-12
 
@@ -597,9 +596,16 @@ def test_config_validation():
     with pytest.raises(InvalidParameterError):
         OptimizerConfig(method="single-call-momentum", gamma=0.1, scaling=s,
                         T=1, seed=0, anchor_prob=0.0)
-    with pytest.raises(InvalidParameterError):
-        OptimizerConfig(method="sgda", gamma=0.1, scaling=s, T=1, seed=0,
-                        averaging="harmonic")
+    # NaN and non-integral counts are rejected up front, naming the parameter
+    kw = dict(method="sgda", gamma=0.1, scaling=s, T=1, seed=0)
+    for bad, name in ((dict(eta=np.nan), "eta"), (dict(batch=np.nan), "batch"),
+                      (dict(batch=2.5), "batch"), (dict(T=3.0), "T"),
+                      (dict(seed=1.5), "seed"), (dict(seed=-1), "seed")):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must"):
+            OptimizerConfig(**{**kw, **bad})
+    # numpy integers are counts too
+    OptimizerConfig(method="sgda", gamma=0.1, scaling=s, T=np.int64(3),
+                    seed=0, batch=np.int32(2))
 
 
 def test_theory_safe_gates():

@@ -24,7 +24,6 @@ from saddle_scale.errors import (
 from saddle_scale.precond import (
     ScalingState,
     beta_t,
-    curvature_grad_square,
     curvature_for,
     curvature_hutchinson,
     gamma_bound,
@@ -110,18 +109,24 @@ def test_beta_t_debias_increases_towards_beta():
 # curvature sources
 
 
+def grad_square(g):
+    """Grad-square curvature for a squared-ema scaling over ``g``."""
+    return curvature_for(mk_state(rule="squared-ema", source="grad-square"),
+                         None, None, g, None)
+
+
 def test_grad_square_squares_entrywise():
-    h = curvature_grad_square(np.array([3.0, -2.0]))
+    h = grad_square(np.array([3.0, -2.0]))
     assert h[0] == 9.0 and h[1] == 4.0
 
 
 def test_grad_square_zero():
-    h = curvature_grad_square(np.zeros(5))
+    h = grad_square(np.zeros(5))
     assert h.shape == (5,) and not h.any()
 
 
 def test_grad_square_small_values_stay_exact():
-    h = curvature_grad_square(np.array([1e-8, 1e-8]))
+    h = grad_square(np.array([1e-8, 1e-8]))
     # squares of tiny gradients stay normal (no subnormal underflow)
     assert h[0] == pytest.approx(1e-16, rel=1e-15)
     assert h[1] == pytest.approx(1e-16, rel=1e-15)
@@ -193,8 +198,8 @@ def test_hutchinson_draws_are_signs():
 
 def test_fresh_state_is_floor_saturated():
     s = mk_state(floor_e=0.25, d_x=3, d_y=2)
-    np.testing.assert_array_equal(s.raw_x, np.zeros(3))
-    np.testing.assert_array_equal(s.raw_y, np.zeros(2))
+    np.testing.assert_array_equal(s.raw[:3], np.zeros(3))
+    np.testing.assert_array_equal(s.raw[3:], np.zeros(2))
     np.testing.assert_array_equal(s.clipped_x, np.full(3, 0.25))
     np.testing.assert_array_equal(s.clipped_y, np.full(2, 0.25))
     assert s.t == 0
@@ -217,6 +222,11 @@ def test_create_validates_parameters():
         mk_state(update_every_k=0)
     with pytest.raises(InvalidParameterError):
         mk_state(clip_variant="clamp")
+    with pytest.raises(InvalidParameterError, match="^update_every_k must"):
+        mk_state(update_every_k=2.5)
+    with pytest.raises(InvalidParameterError, match="^update_every_k must"):
+        scaling_preset("oasis", 1, 1, update_every_k=2.5)
+    assert mk_state(update_every_k=np.int64(2)).update_every_k == 2
 
 
 PRESET_TABLE = {
@@ -259,8 +269,8 @@ def test_spawn_gives_fresh_state():
     s = update(s, cat(np.ones(2), np.ones(2)), rng)
     child = s.spawn(d_x=5, d_y=6)
     assert child.t == 0
-    assert child.raw_x.shape == (5,) and child.raw_y.shape == (6,)
-    assert not child.raw_x.any()
+    assert child.raw[:5].shape == (5,) and child.raw[5:].shape == (6,)
+    assert not child.raw[:5].any()
     np.testing.assert_array_equal(child.clipped_x, np.full(5, s.floor_e))
     assert (child.rule, child.beta) == (s.rule, s.beta)
 
@@ -275,7 +285,7 @@ def test_update_squared_ema_one_step():
     s = dataclasses.replace(s, raw=np.array([4.0, 4.0]))
     rng = np.random.default_rng(0)
     s2 = update(s, cat(np.array([16.0]), np.array([16.0])), rng)
-    assert s2.raw_x[0] == 10.0
+    assert s2.raw[0] == 10.0
     assert abs(s2.clipped_x[0] - np.sqrt(10.0)) < 1e-15
     assert s2.t == s.t + 1
 
@@ -285,8 +295,8 @@ def test_update_additive_ema_one_step():
     s = dataclasses.replace(s, raw=np.array([1.0, 1.0]))
     rng = np.random.default_rng(0)
     s2 = update(s, cat(np.array([-1.0]), np.array([-2.0])), rng)
-    assert abs(s2.raw_x[0] - 0.8) < 1e-15
-    assert abs(s2.raw_y[0] - 0.7) < 1e-15
+    assert abs(s2.raw[0] - 0.8) < 1e-15
+    assert abs(s2.raw[1] - 0.7) < 1e-15
     assert abs(s2.clipped_x[0] - 0.8) < 1e-15
 
 
@@ -312,7 +322,7 @@ def test_update_debias_first_step_ignores_history():
     s = mk_state(schedule="adam-debias", beta=0.999, floor_e=1e-8)
     rng = np.random.default_rng(0)
     s2 = update(s, cat(np.array([7.0]), np.array([11.0])), rng)
-    assert s2.raw_x[0] == 7.0 and s2.raw_y[0] == 11.0
+    assert s2.raw[0] == 7.0 and s2.raw[1] == 11.0
 
 
 def test_update_rejects_shape_mismatch():
@@ -346,10 +356,9 @@ def test_state_blocks_are_read_only_views():
     s = mk_state(rule="additive-ema", beta=0.0, d_x=2, d_y=1)
     s = update(s, cat([0.5, -3.0], [2.0]), np.random.default_rng(0))
     np.testing.assert_array_equal(s.raw, [0.5, -3.0, 2.0])
-    np.testing.assert_array_equal(s.raw_x, [0.5, -3.0])
+    np.testing.assert_array_equal(s.raw[:2], [0.5, -3.0])
     np.testing.assert_array_equal(s.clipped_y, [2.0])
-    for block in (s.raw, s.clipped, s.raw_x, s.raw_y, s.clipped_x,
-                  s.clipped_y):
+    for block in (s.raw, s.clipped, s.clipped_x, s.clipped_y):
         assert not block.flags.writeable
     assert np.shares_memory(s.clipped_x, s.clipped)
 
@@ -381,14 +390,14 @@ def test_probabilistic_update_consumes_one_draw_and_skips_carry_raw():
     h = cat(np.array([1.0]), np.array([1.0]))
     n_fired = 0
     for _ in range(400):
-        prev_raw = s.raw_x[0]
+        prev_raw = s.raw[0]
         s = update(s, h, rng)
         expect_fire = ref.random() < 0.5  # one shared Bernoulli per update
         assert s.last_fired == expect_fire
         if expect_fire:
             n_fired += 1
         else:
-            assert s.raw_x[0] == prev_raw
+            assert s.raw[0] == prev_raw
     assert s.t == 400
     assert 140 <= n_fired <= 260
 
@@ -409,9 +418,9 @@ def test_clipping_is_idempotent_after_every_update():
         h = cat(rng.standard_normal(6), rng.standard_normal(4))
         s = update(s, h, rng)
         np.testing.assert_array_equal(
-            s.clipped_x, np.maximum(s.floor_e, np.abs(s.raw_x)))
+            s.clipped_x, np.maximum(s.floor_e, np.abs(s.raw[:6])))
         np.testing.assert_array_equal(
-            s.clipped_y, np.maximum(s.floor_e, np.abs(s.raw_y)))
+            s.clipped_y, np.maximum(s.floor_e, np.abs(s.raw[6:])))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from saddle_scale.errors import (
 from saddle_scale.problems import (
     PointPair,
     SaddleProblem,
-    field,
+    field_into,
     gradient,
     hvp_into,
     make_bilinear,
@@ -70,6 +70,10 @@ def test_oraclesample_validation():
         gradient(p, np.zeros(4), seed=1, batch=0)
     with pytest.raises(InvalidParameterError):
         gradient(p, np.zeros(4), seed=-1)
+    for kw, name in ((dict(seed=1, batch=2.5), "batch"),
+                     (dict(seed=1.5), "seed")):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must"):
+            gradient(p, np.zeros(4), **kw)
 
 
 def test_fieldvalue_zero_at_solution():
@@ -122,6 +126,17 @@ def test_quadratic_parameter_validation():
         make_quadratic(2, 2, 2.0, 1.0, seed=0)  # mu > L
     with pytest.raises(InvalidParameterError):
         make_quadratic(0, 2, 0.5, 1.0, seed=0)
+    # NaN parameters are rejected up front, naming the parameter
+    for build, name in (
+            (lambda: make_quadratic(2, 2, 0.5, 1.0, seed=0, sigma=np.nan),
+             "sigma"),
+            (lambda: make_quadratic(2, 2, 0.5, 1.0, seed=0, sigma=1.0,
+                                    noise_bound=np.nan), "noise_bound"),
+            (lambda: SaddleProblem(kind="bilinear", d_x=1, d_y=1, mu=np.nan,
+                                   L=1.0), "mu"),
+            (lambda: make_bilinear(2, L=np.nan, seed=0), "L")):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must"):
+            build()
 
 
 def test_quadratic_certificates():
@@ -291,7 +306,7 @@ def test_gradient_noise_is_norm_bounded():
     sigma = 2.0
     p = make_quadratic(3, 3, 0.5, 2.0, seed=1, sigma=sigma)
     z = PointPair(np.zeros(3), np.zeros(3))
-    f = field(p, z)
+    f = field_into(p, z.as_vector(), np.empty(p.d_x + p.d_y))
     for seed in range(200):
         g = gradient(p, z.as_vector(), seed=seed, batch=4)
         noise = g - f
@@ -303,7 +318,7 @@ def test_gradient_monte_carlo_mean():
     sigma, b, n = 1.0, 4, 100_000
     p = make_quadratic(2, 2, 0.5, 2.0, seed=8, sigma=sigma)
     z = PointPair(np.array([0.3, -1.2]), np.array([0.7, 0.1]))
-    f = field(p, z)
+    f = field_into(p, z.as_vector(), np.empty(p.d_x + p.d_y))
     acc = np.zeros(4)
     for seed in range(n):
         acc += gradient(p, z.as_vector(), seed=seed, batch=b)
