@@ -21,6 +21,7 @@ from saddle_scale.errors import (
 from saddle_scale.metrics import (
     Records,
     RunRecord,
+    _ball_extremum,
     check_scalar_inequality,
     contraction_check,
     fit_rate,
@@ -154,6 +155,52 @@ def test_gap_quadratic_boundary_optima_match_grid_oracle():
     got = gap_restricted(p, z, 10.5)
     want = grid_gap_oracle(p, z, 10.5)
     assert got == pytest.approx(want, abs=1e-7)
+
+
+@pytest.mark.parametrize("z,omega,want", [
+    ((0.0, 5.0), 1.0, 17.0),
+    ((3.0, -4.0), 2.0, 22.5),
+    ((0.7, -0.4), 0.3, 0.565),
+])
+def test_gap_quadratic_inner_optimum_on_the_ball_edge(z, omega, want):
+    # f = x^2/2 + xy - y^2/2 with z* = 0: the unrestricted inner optima
+    # lie outside the ball, so the inner solver must stop on its edge
+    p = quadratic_from_matrices([[1.0]], [[1.0]], [[1.0]], [0.0], [0.0])
+    z = PointPair([z[0]], [z[1]])
+    got = gap_restricted(p, z, omega)
+    assert got == pytest.approx(grid_gap_oracle(p, z, omega), abs=1e-12)
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def _spd(rng, d, cond):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    w = np.exp(rng.uniform(0.0, np.log(cond), d))
+    w[0], w[-1] = 1.0, cond
+    return (q * w) @ q.T
+
+
+def test_ball_extremum_meets_trust_region_optimality():
+    # u maximises r'u - u'Mu/2 over ||u|| <= omega iff Mu = r inside the
+    # ball, or ||u|| = omega and (M + lam I)u = r with lam >= 0 on its edge
+    rng = np.random.default_rng(11)
+    for d in (2, 5, 20, 50):
+        for cond in (1.0, 1e4, 1e8):
+            M = _spd(rng, d, cond)
+            m_norm = np.linalg.norm(M, 2)
+            for omega in (1e-3, 1.0, 1e3):
+                for scale in (0.5, 2.0, 1e3):
+                    v = rng.standard_normal(d)
+                    r = M @ (scale * omega * v / np.linalg.norm(v))
+                    u = _ball_extremum(M, r, omega)
+                    u_norm = np.linalg.norm(u)
+                    tol = 1e-12 * (m_norm * u_norm + np.linalg.norm(r))
+                    if scale > 1:
+                        lam = u @ (r - M @ u) / (u_norm * u_norm)
+                        assert abs(u_norm / omega - 1) <= 1e-12
+                        assert lam >= -1e-12 * m_norm
+                        assert np.linalg.norm(M @ u + lam * u - r) <= tol
+                    else:
+                        assert np.linalg.norm(M @ u - r) <= tol
 
 
 def test_gap_quadratic_coupled_matches_grid_oracle():
