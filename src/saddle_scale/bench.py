@@ -16,6 +16,7 @@ input was malformed.
 import argparse
 import hashlib
 import json
+import math
 import operator
 import sys
 from dataclasses import dataclass
@@ -132,7 +133,12 @@ class Field:
                                           and self.type != "boolean"):
             raise ConfigError(path, message)
         if self.type == "number":
-            v = float(v)
+            try:
+                v = float(v)
+            except OverflowError:  # an integer literal past the float range
+                v = math.inf
+            if not math.isfinite(v):
+                raise ConfigError(path, "must be a finite number")
         if self.enum is not None and v not in self.enum:
             raise ConfigError(path, f"must be one of {', '.join(self.enum)}")
         if self.min_length is not None and len(v) < self.min_length:

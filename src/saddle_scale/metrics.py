@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import problems as P
 from .errors import (
@@ -120,8 +119,10 @@ def _ball_extremum(M, r, omega):
     """max of r'u - u'Mu/2 over ||u|| <= omega for symmetric M > 0.
 
     Interior optimum u = M^{-1} r when it fits; otherwise the boundary
-    solution u(lam) = (M + lam I)^{-1} r with ||u(lam)|| = omega, found by
-    root bracketing (tolerance ~1e-12; M > 0 rules out the degenerate case).
+    solution u(lam) = (M + lam I)^{-1} r with ||u(lam)|| = omega (M > 0
+    rules out the degenerate case).  ||u(lam)|| falls strictly in lam, so
+    lam is bisected until no double lies strictly inside its bracket, and
+    u is taken at the upper end, where ||u|| <= omega up to rounding.
     Returns the optimizer u.
     """
     w, Q = np.linalg.eigh(M)
@@ -132,10 +133,15 @@ def _ball_extremum(M, r, omega):
 
     if norm_at(0.0) <= omega:
         return Q @ (c / w)
-    hi = float(np.linalg.norm(r)) / omega  # ||u(hi)|| <= ||r||/hi = omega
-    lam = brentq(lambda t: norm_at(t) - omega, 0.0, hi, xtol=1e-14,
-                 rtol=8.9e-16, maxiter=200)
-    return Q @ (c / (w + lam))
+    lo, hi = 0.0, float(np.linalg.norm(r)) / omega  # ||u(hi)|| <= ||r||/hi
+    mid = 0.5 * hi
+    while lo < mid < hi:
+        if norm_at(mid) > omega:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return Q @ (c / (w + hi))
 
 
 def _quad_value(p, x, y):

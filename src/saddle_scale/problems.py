@@ -428,6 +428,9 @@ def make_quadratic(d_x, d_y, mu, L, seed, sigma=0.0, noise_bound=None):
     """
     if d_x < 1 or d_y < 1:
         raise InvalidParameterError("dimensions must be positive")
+    for name, v in (("mu", mu), ("L", L)):
+        if not math.isfinite(v):
+            raise InvalidParameterError(f"{name} must be finite")
     if not (0 < mu <= L):
         raise InvalidParameterError("need 0 < mu <= L")
     rng = np.random.default_rng(seed)
@@ -462,8 +465,8 @@ def make_bilinear(d, L, seed, sigma=0.0, noise_bound=None):
     to L and the rest uniform in [L/4, L] (nonsingular, so z* = 0)."""
     if d < 1:
         raise InvalidParameterError("d must be positive")
-    if not L > 0:
-        raise InvalidParameterError("L must be positive")
+    if not 0 < L < math.inf:
+        raise InvalidParameterError("L must be positive and finite")
     rng = np.random.default_rng(seed)
     if d == 1:
         B = np.array([[float(L)]])

@@ -329,17 +329,20 @@ def _check_call_accounting(seed):
             z, z_half, w, g, s = step_single_call(
                 big, z, w, z_half, g, s, gamma, 0.0, 0.25, streams)
 
-    def best_time(fn, iters=150, reps=3):
-        fn(10)  # warm caches
-        best = math.inf
+    def best_times(loops, iters=150, reps=3):
+        """Best seconds per iteration of each loop; the loops alternate rep
+        by rep, so a slow spell on the host slows both sides."""
+        for fn in loops:
+            fn(10)  # warm caches
+        best = [math.inf] * len(loops)
         for _ in range(reps):
-            t0 = perf_counter()
-            fn(iters)
-            best = min(best, perf_counter() - t0)
-        return best / iters
+            for k, fn in enumerate(loops):
+                t0 = perf_counter()
+                fn(iters)
+                best[k] = min(best[k], perf_counter() - t0)
+        return [b / iters for b in best]
 
-    t_eg = best_time(eg_loop)
-    t_sc = best_time(sc_loop)
+    t_eg, t_sc = best_times((eg_loop, sc_loop))
     ratio = t_sc / t_eg
     return (counts_ok and ratio < 0.65,
             f"calls eg={eg.grad_calls} sc={sc.grad_calls}, "

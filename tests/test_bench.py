@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -82,6 +83,18 @@ def test_defaults_filled_in(tmp_path):
         "optimizers[0].scaling.beta", id="beta-above-one"),
     pytest.param(lambda c: c["optimizers"][0].update(averaging="harmonic"),
                  "optimizers[0].averaging", id="averaging-unknown"),
+    # json.load parses the literal Infinity; a number must be finite
+    pytest.param(lambda c: c["problems"][0].update(L=math.inf),
+                 "problems[0].L", id="bilinear-L-infinite"),
+    pytest.param(lambda c: c.update(problems=[{
+        "kind": "quadratic", "d_x": 2, "d_y": 2, "mu": 0.5, "L": math.inf}]),
+        "problems[0].L", id="quadratic-L-infinite"),
+    pytest.param(lambda c: c["problems"][0].update(sigma=math.inf),
+                 "problems[0].sigma", id="sigma-infinite"),
+    pytest.param(lambda c: c["optimizers"][0].update(gamma=math.inf),
+                 "optimizers[0].gamma", id="gamma-infinite"),
+    pytest.param(lambda c: c["problems"][0].update(L=10 ** 400),
+                 "problems[0].L", id="L-integer-past-float-range"),
 ])
 def test_validation_names_offending_field(tmp_path, mutate, field):
     cfg = minimal_config(tmp_path)
@@ -243,6 +256,16 @@ def test_missing_file_exits_two(tmp_path):
     code, _, err = run_main(["run", write_config(tmp_path, cfg)])
     assert code == 2
     assert err.startswith("config error at output_dir: cannot create ")
+    # the JSON literal Infinity parses, but no number field takes it
+    cfg = minimal_config(tmp_path, problems=[
+        {"kind": "quadratic", "d_x": 2, "d_y": 2, "mu": 0.5, "L": math.inf}])
+    path = write_config(tmp_path, cfg, "infinite.json")
+    text = (tmp_path / "infinite.json").read_text(encoding="utf-8")
+    assert '"L": Infinity' in text
+    code, _, err = run_main(["run", path])
+    assert code == 2
+    assert err.startswith(
+        "config error at problems[0].L: must be a finite number")
 
 
 def test_averaging_picks_the_reported_gap_point(tmp_path):

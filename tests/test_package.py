@@ -1,6 +1,10 @@
-"""The package's top-level surface: every name ``__all__`` lists exists, and
-the names the benchmark harness (perfbench/runner.py) reads through the
-package stay exported."""
+"""The package's top-level surface: every name ``__all__`` lists exists, the
+names the benchmark harness (perfbench/runner.py) reads through the package
+stay exported, and the package runs with numpy as its only dependency."""
+
+import os
+import subprocess
+import sys
 
 import saddle_scale
 
@@ -25,3 +29,37 @@ def test_harness_names_stay_exported():
         assert hasattr(saddle_scale, name), name
         if name != "errors":
             assert name in saddle_scale.__all__, name
+
+
+NO_SCIPY = '''
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+import saddle_scale
+import saddle_scale.bench
+from saddle_scale.metrics import gap_restricted
+from saddle_scale.problems import PointPair, quadratic_from_matrices
+
+p = quadratic_from_matrices([[1.0]], [[1.0]], [[1.0]], [0.0], [0.0])
+gap = gap_restricted(p, PointPair([0.0], [5.0]), 1.0)
+assert abs(gap - 17.0) <= 1e-12, gap
+assert saddle_scale.bench.main(["print-schema"]) == 0
+assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+'''
+
+
+def test_package_runs_on_numpy_alone():
+    src = os.path.dirname(os.path.dirname(saddle_scale.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -134,7 +134,12 @@ def test_quadratic_parameter_validation():
                                     noise_bound=np.nan), "noise_bound"),
             (lambda: SaddleProblem(kind="bilinear", d_x=1, d_y=1, mu=np.nan,
                                    L=1.0), "mu"),
-            (lambda: make_bilinear(2, L=np.nan, seed=0), "L")):
+            (lambda: make_bilinear(2, L=np.nan, seed=0), "L"),
+            # infinite parameters too, before any numpy call overflows
+            (lambda: make_quadratic(2, 2, 0.5, np.inf, seed=0), "L"),
+            (lambda: make_quadratic(2, 2, np.inf, np.inf, seed=0), "mu"),
+            (lambda: make_bilinear(2, L=np.inf, seed=0), "L"),
+            (lambda: make_bilinear(1, L=np.inf, seed=0), "L")):
         with pytest.raises(InvalidParameterError, match=f"^{name} must"):
             build()
 
