@@ -11,6 +11,10 @@ step stays well defined.  Updates fire with probability p (one shared
 Bernoulli draw per call) or deterministically every k-th call.  Curvature
 comes either from gradient squares or from a Rademacher diagonal estimate
 v * (Hessian @ v).
+
+``advance`` moves an immutable ``ScalingState`` by one call; the run engine
+applies the same two halves, ``fires`` and ``ema_clip_into``, to its own
+buffers.
 """
 
 import dataclasses
@@ -21,7 +25,6 @@ import numpy as np
 
 from . import problems as P
 from .errors import (
-    DimensionMismatchError,
     InvalidParameterError,
     NonFiniteError,
     PreconditionError,
@@ -148,12 +151,17 @@ def beta_t(schedule, beta, t):
         raise InvalidParameterError("beta must lie in [0, 1]")
     if t < 0:
         raise InvalidParameterError("t must be non-negative")
-    if schedule == "constant-beta":
-        return beta
-    if beta == 1.0:
+    if schedule == "adam-debias" and beta == 1.0:
         warnings.warn("adam-debias with beta = 1 is degenerate; using 1",
                       RuntimeWarning, stacklevel=2)
-        return 1.0
+    return _beta_at(schedule, beta, t)
+
+
+def _beta_at(schedule, beta, t):
+    """beta_t without validation: beta itself for constant-beta or
+    beta = 1, else Adam's debiased (beta - beta^(t+1)) / (1 - beta^(t+1))."""
+    if schedule == "constant-beta" or beta == 1.0:
+        return beta
     bp = beta ** (t + 1)
     return (beta - bp) / (1.0 - bp)
 
@@ -214,18 +222,6 @@ def curvature_for(state, problem, z, g, rademacher_rng):
 # the update itself
 
 
-def _validate_curvature(state, h):
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != state.raw.shape:
-        raise DimensionMismatchError(
-            f"curvature shape {h.shape} does not match state {state.raw.shape}")
-    if not np.isfinite(h).all():
-        raise NonFiniteError("curvature entries must be finite")
-    if state.rule == "squared-ema" and np.any(h < 0):
-        raise InvalidParameterError("squared-ema needs non-negative curvature")
-    return h
-
-
 def fires(state, t, rng_stream):
     """Whether update call number ``t`` (0-based) of a scaling with
     ``state``'s hyperparameters fires: every ``update_every_k``-th call, or
@@ -248,12 +244,8 @@ def ema_clip_into(state, t, h, raw, clipped):
     ``D + e``) with D = sqrt(raw) for squared-ema and |raw| for
     additive-ema.  ``h`` is left as is.
     """
-    # inline beta_t: schedule and beta were validated at construction
-    if state.schedule == "constant-beta" or state.beta == 1.0:
-        b = state.beta
-    else:
-        bp = state.beta ** (t + 1)
-        b = (state.beta - bp) / (1.0 - bp)
+    # schedule and beta were validated at construction
+    b = _beta_at(state.schedule, state.beta, t)
     np.multiply(raw, b, out=raw)
     raw += (1.0 - b) * h
     if state.rule == "squared-ema":
@@ -266,25 +258,17 @@ def ema_clip_into(state, t, h, raw, clipped):
         np.maximum(clipped, state.floor_e, out=clipped)
 
 
-def update(state, h, rng_stream):
-    """Advance the scaling by one call with the curvature vector ``h`` over
-    both blocks: fire the EMA with probability ``update_prob`` (one shared
-    Bernoulli draw; p = 1 draws nothing) or on the every-k schedule, then
-    re-clip.  The time index advances either way.  A state with beta = 1
-    (the identity preset) never fires, as ``advance`` explains.
-    """
-    h = _validate_curvature(state, h)
-    return advance(state, rng_stream, lambda: h)
-
-
 def advance(state, rng_stream, curvature_fn):
-    """Like update, but curvature is only computed when the update actually
-    fires — this keeps skipped steps free of oracle work, which is the
-    point of probabilistic updates.
+    """Advance the scaling by one call: fire the EMA with probability
+    ``update_prob`` (one shared Bernoulli draw from ``rng_stream``; p = 1
+    draws nothing) or on the every-k schedule, then re-clip.  The time
+    index advances either way.  The curvature ``curvature_fn()`` is only
+    computed when the update fires, which keeps skipped steps free of
+    oracle work: the point of probabilistic updates.
 
-    ``curvature_fn`` must return a finite vector matching the state's
-    length and representation (``curvature_for`` does); unlike ``update``
-    nothing is re-validated here.
+    ``curvature_fn`` must return a finite vector over both blocks matching
+    the state's length and representation (``curvature_for`` does); nothing
+    is re-validated here.
 
     With beta = 1 the EMA ``1*raw + 0*h`` equals ``raw`` for every finite
     ``h``, so such a state treats each call as a skip: it still makes the

@@ -128,14 +128,12 @@ class SaddleProblem:
             raise InvalidParameterError(f"unknown kind {self.kind!r}")
         if self.d_x < 1 or self.d_y < 1:
             raise InvalidParameterError("dimensions must be positive")
-        if not self.L > 0:
-            raise InvalidParameterError("L must be positive")
-        if not self.mu >= 0:
-            raise InvalidParameterError("mu must be non-negative")
-        if not self.sigma >= 0:
-            raise InvalidParameterError("sigma must be non-negative")
-        if not self.noise_bound >= 0:
-            raise InvalidParameterError("noise_bound must be non-negative")
+        if not 0 < self.L < math.inf:
+            raise InvalidParameterError("L must be positive and finite")
+        for name in ("mu", "sigma", "noise_bound"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidParameterError(
+                    f"{name} must be non-negative and finite")
         if self.B is not None and self.BT is None:
             object.__setattr__(self, "BT", self.B.T.copy())
         for name in ("A", "B", "C", "BT"):
@@ -200,7 +198,12 @@ def _sample_rng(seed):
 
 
 def field_into(p, z_cat, out):
-    """Deterministic field F(z) written into ``out``; no oracle accounting."""
+    """Deterministic field F(z) written into ``out``; no oracle accounting.
+
+    ``z_cat`` may also be a (d_x + d_y, M) stack of M points, one per
+    column, for a 1+1 dimensional problem (``verify_minty`` evaluates its
+    grid that way); ``out`` then has the same shape.
+    """
     if p.kind == "minty-example":
         # f(x, y) = x*y + phi(x) - phi(y) with phi'(u) = u + alpha*sin(u)
         out[0] = z_cat[1] + z_cat[0] + p.alpha * np.sin(z_cat[0])
@@ -332,23 +335,14 @@ def verify_minty(p, radius, grid_n):
         raise InvalidParameterError("grid_n must be at least 2")
     if p.d_x != 1 or p.d_y != 1:
         raise CapabilityError("grid certification requires d_x = d_y = 1")
-    xs = np.linspace(p.z_star.x[0] - radius, p.z_star.x[0] + radius, grid_n)
-    ys = np.linspace(p.z_star.y[0] - radius, p.z_star.y[0] + radius, grid_n)
+    x0, y0 = p.z_star.x[0], p.z_star.y[0]
+    xs = np.linspace(x0 - radius, x0 + radius, grid_n)
+    ys = np.linspace(y0 - radius, y0 + radius, grid_n)
     for start in range(0, grid_n, MINTY_BLOCK_ROWS):
         X, Y = np.meshgrid(xs, ys[start:start + MINTY_BLOCK_ROWS])
-        if p.kind == "quadratic":
-            A, B, C = p.A[0, 0], p.B[0, 0], p.C[0, 0]
-            a, c = p.a[0], p.c[0]
-            FX = A * X + B * Y + a
-            FY = C * Y - B * X + c
-        elif p.kind == "bilinear":
-            B = p.B[0, 0]
-            FX = B * Y
-            FY = -B * X
-        else:
-            FX = Y + X + p.alpha * np.sin(X)
-            FY = -X + Y + p.alpha * np.sin(Y)
-        inner = FX * (X - p.z_star.x[0]) + FY * (Y - p.z_star.y[0])
+        Z = np.stack([X.ravel(), Y.ravel()])
+        F = field_into(p, Z, np.empty_like(Z))
+        inner = F[0] * (Z[0] - x0) + F[1] * (Z[1] - y0)
         if not inner.min() >= -1e-12:
             return False
     return True
@@ -359,12 +353,10 @@ def verify_minty(p, radius, grid_n):
 
 
 def quadratic_from_matrices(A, B, C, a, c, sigma=0.0, noise_bound=None,
-                            seed=0, require_sc=True):
-    """Build a quadratic problem from explicit matrices.
-
-    With ``require_sc`` the blocks must be symmetric with positive spectra
-    (checked); ``require_sc=False`` skips the definiteness check and stores
-    mu = 0, for deliberately adversarial instances.
+                            seed=0):
+    """Build a strongly convex-strongly concave quadratic from explicit
+    matrices: A and C must be symmetric with positive spectra (checked),
+    and mu is the smaller of their least eigenvalues.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     C = np.atleast_2d(np.asarray(C, dtype=np.float64))
@@ -380,11 +372,8 @@ def quadratic_from_matrices(A, B, C, a, c, sigma=0.0, noise_bound=None,
     wA = np.linalg.eigvalsh(A)
     wC = np.linalg.eigvalsh(C)
     mu = float(min(wA.min(), wC.min()))
-    if require_sc:
-        if mu <= 0:
-            raise InvalidParameterError("A and C must be positive definite")
-    else:
-        mu = max(0.0, mu)
+    if mu <= 0:
+        raise InvalidParameterError("A and C must be positive definite")
     J = np.block([[A, B], [-B.T, C]])
     L = float(np.linalg.svd(J, compute_uv=False).max())
     prob = SaddleProblem(

@@ -154,11 +154,11 @@ def _check_scaling_range(seed):
     for _, problem, traj in runs:
         scaling = traj.config.scaling
         cap = _cap_for(problem, traj, scaling)
-        e = scaling.floor_e
-        entries = traj.scaling_trace.clipped
-        bad = (entries < e).any(axis=1) | (entries > cap).any(axis=1)
+        # each record carries the min and max of the step's clipped diagonal
+        recs = traj.records
+        bad = (recs.dhat_min < scaling.floor_e) | (recs.dhat_max > cap)
         violations += int(np.count_nonzero(bad))
-        worst = max(worst, float(entries.max()) / cap)
+        worst = max(worst, float(recs.dhat_max.max()) / cap)
     return (violations == 0,
             f"violations={violations}, max Dhat/Gamma={worst:.3f}",
             "0 violations over 4x1e4 updates")

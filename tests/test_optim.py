@@ -432,6 +432,32 @@ def test_trace_scaling_captures_fires_and_vectors():
     assert no_trace.scaling_trace is None
 
 
+RANGE_SCALINGS = {
+    "adam": lambda: scaling_preset("adam", 3, 2),
+    "rmsprop": lambda: scaling_preset("rmsprop", 3, 2),
+    "adahessian": lambda: scaling_preset("adahessian", 3, 2),
+    "oasis": lambda: scaling_preset("oasis", 3, 2),
+    "oasis-p0.3": lambda: scaling_preset("oasis", 3, 2, update_prob=0.3),
+    "rmsprop-k3": lambda: scaling_preset("rmsprop", 3, 2, update_every_k=3),
+}
+
+
+@pytest.mark.parametrize("scaling", sorted(RANGE_SCALINGS))
+@pytest.mark.parametrize("method", optim.METHODS)
+def test_record_dhat_range_is_each_traced_rows_min_and_max(method, scaling):
+    # verify's scaling-range audit reads these two columns, not the trace
+    p = make_quadratic(3, 2, mu=0.5, L=2.0, seed=5, sigma=0.3)
+    traj = run(p, OptimizerConfig(
+        method=method, T=200, seed=11, gamma=0.002, batch=2,
+        scaling=RANGE_SCALINGS[scaling](), trace_scaling=True))
+    trace = traj.scaling_trace
+    assert trace.fired.any()
+    assert trace.fired.all() == (scaling in ("adam", "rmsprop", "adahessian",
+                                             "oasis"))
+    assert np.array_equal(traj.records.dhat_min, trace.clipped.min(axis=1))
+    assert np.array_equal(traj.records.dhat_max, trace.clipped.max(axis=1))
+
+
 def test_trace_view_rows_slices_and_columns():
     p = make_quadratic(3, 2, mu=0.5, L=2.0, seed=0)
     scaling = scaling_preset("oasis", 3, 2, update_prob=0.5)

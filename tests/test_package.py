@@ -1,12 +1,18 @@
 """The package's top-level surface: every name ``__all__`` lists exists, the
 names the benchmark harness (perfbench/runner.py) reads through the package
-stay exported, and the package runs with numpy as its only dependency."""
+stay exported, README's account of the surface matches it, and the package
+runs with numpy as its only dependency."""
 
+import importlib
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import saddle_scale
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # read as ``ss.<name>`` by perfbench/runner.py; ``errors`` is the submodule
 HARNESS_NAMES = ("run", "make_quadratic", "make_bilinear", "make_minty",
@@ -29,6 +35,28 @@ def test_harness_names_stay_exported():
         assert hasattr(saddle_scale, name), name
         if name != "errors":
             assert name in saddle_scale.__all__, name
+
+
+def test_readme_counts_the_exported_names():
+    counts = re.findall(r"exports (\d+) names", README.read_text())
+    assert counts == [str(len(saddle_scale.__all__))]
+
+
+def test_readme_lower_level_helpers_import_from_their_modules():
+    text = README.read_text()
+    listing = re.search(
+        r"Lower-level helpers stay importable from their own modules:"
+        r"(.*?`)\.", text, re.DOTALL).group(1)
+    # `module.name`/`name`/... groups, one per module
+    groups = re.findall(r"`(\w+)\.(\w+)`((?:/`\w+`)*)", listing)
+    assert len(groups) >= 4
+    missing = []
+    for module, first, rest in groups:
+        mod = importlib.import_module(f"saddle_scale.{module}")
+        for name in [first] + re.findall(r"`(\w+)`", rest):
+            if not hasattr(mod, name):
+                missing.append(f"{module}.{name}")
+    assert missing == []
 
 
 NO_SCIPY = '''

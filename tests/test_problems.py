@@ -139,7 +139,18 @@ def test_quadratic_parameter_validation():
             (lambda: make_quadratic(2, 2, 0.5, np.inf, seed=0), "L"),
             (lambda: make_quadratic(2, 2, np.inf, np.inf, seed=0), "mu"),
             (lambda: make_bilinear(2, L=np.inf, seed=0), "L"),
-            (lambda: make_bilinear(1, L=np.inf, seed=0), "L")):
+            (lambda: make_bilinear(1, L=np.inf, seed=0), "L"),
+            (lambda: make_quadratic(2, 2, 0.5, 1.0, seed=0, sigma=np.inf),
+             "sigma"),
+            (lambda: make_quadratic(2, 2, 0.5, 1.0, seed=0, sigma=1.0,
+                                    noise_bound=np.inf), "noise_bound"),
+            (lambda: make_bilinear(2, L=1.0, seed=0, sigma=np.inf), "sigma"),
+            (lambda: make_minty(seed=0, noise_bound=np.inf), "noise_bound"),
+            # the dataclass itself, without a generator's own checks
+            (lambda: SaddleProblem(kind="bilinear", d_x=1, d_y=1, mu=0.0,
+                                   L=np.inf), "L"),
+            (lambda: SaddleProblem(kind="bilinear", d_x=1, d_y=1,
+                                   mu=np.inf, L=1.0), "mu")):
         with pytest.raises(InvalidParameterError, match=f"^{name} must"):
             build()
 
@@ -281,9 +292,12 @@ def test_verify_minty_on_bilinear_and_quadratic():
 
 
 def test_verify_minty_rejects_anti_convex_quadratic():
-    p = quadratic_from_matrices(np.array([[-1.0]]), np.array([[0.0]]),
-                                np.array([[-1.0]]), np.zeros(1), np.zeros(1),
-                                require_sc=False)
+    # f = -x^2/2 + y^2/2 has its (only) stationary point at the origin,
+    # where <F(z), z> = -x^2 - y^2 < 0 off the origin
+    p = SaddleProblem(kind="quadratic", d_x=1, d_y=1, mu=0.0, L=1.0,
+                      A=-np.eye(1), B=np.zeros((1, 1)), C=-np.eye(1),
+                      a=np.zeros(1), c=np.zeros(1),
+                      z_star=PointPair([0.0], [0.0]))
     assert not verify_minty(p, radius=1.0, grid_n=20)
 
 

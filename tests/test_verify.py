@@ -1,8 +1,9 @@
 """The column audits behind verify's ``scaling-range`` and ``scaling-growth``.
 
 Short traced runs stand in for the checks' cached 1e4-step runs, and one
-violation at a time is planted into a copy of a run's trace.  Each audit
-must count exactly that one.
+violation at a time is planted into a copy of a run's records (the range
+audit reads their D-hat min and max columns) or of its trace (the growth
+audit reads the clipped diagonals).  Each audit must count exactly that one.
 """
 
 import dataclasses
@@ -11,6 +12,7 @@ import re
 import pytest
 
 from saddle_scale import verify
+from saddle_scale.metrics import RECORD_FIELDS, Records
 from saddle_scale.optim import OptimizerConfig, ScalingTrace, run
 from saddle_scale.precond import beta_t, growth_constant, scaling_preset
 from saddle_scale.problems import make_quadratic
@@ -53,6 +55,15 @@ def planted(cached, step, entry, value):
         traj, scaling_trace=ScalingTrace(clipped, trace.fired, trace.d_x))
 
 
+def planted_record(cached, step, column, value):
+    """A cached (label, problem, trajectory) whose records have ``value`` in
+    ``column`` at ``step``."""
+    label, problem, traj = cached
+    block = traj.records.block.copy()
+    block[step, RECORD_FIELDS.index(column)] = value
+    return label, problem, dataclasses.replace(traj, records=Records(block))
+
+
 def violations(name):
     measured = verify.run_check(name, seed=SEED).measured
     return int(re.search(r"violations=(\d+)", measured).group(1))
@@ -77,7 +88,8 @@ def test_clean_runs_have_no_violations(cached_runs):
 def test_range_counts_an_entry_below_the_floor(cached_runs):
     presets = cached_runs[("presets", SEED)]
     _, _, traj = presets[3]
-    presets[3] = planted(presets[3], 17, 4, traj.config.scaling.floor_e / 2)
+    presets[3] = planted_record(presets[3], 17, "dhat_min",
+                                traj.config.scaling.floor_e / 2)
     assert violations("scaling-range") == 1
 
 
@@ -85,7 +97,7 @@ def test_range_counts_an_entry_above_gamma(cached_runs):
     presets = cached_runs[("presets", SEED)]
     _, problem, traj = presets[1]
     cap = verify._cap_for(problem, traj, traj.config.scaling)
-    presets[1] = planted(presets[1], 250, 12, 2.0 * cap)
+    presets[1] = planted_record(presets[1], 250, "dhat_max", 2.0 * cap)
     assert violations("scaling-range") == 1
 
 
