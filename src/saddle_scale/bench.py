@@ -447,7 +447,7 @@ def run_cell(resolved, digest, out_dir, cell, problem):
     return entry
 
 
-def run_suite(resolved, echo=print):
+def run_suite(resolved):
     """Execute every cell of a resolved config, one after another in cell
     order; returns (summary, exit_code).
 
@@ -455,8 +455,8 @@ def run_suite(resolved, echo=print):
     seed, never on the order in which cells run.
     """
     digest = suite_digest(resolved)
-    echo(f"suite {resolved['name']}: master seed {resolved['master_seed']}, "
-         f"digest {digest}")
+    print(f"suite {resolved['name']}: master seed {resolved['master_seed']}, "
+          f"digest {digest}")
     # problems are immutable and each oracle call rekeys its noise, so each
     # problem is built once and shared by all of its cells
     problems = [build_problem(p) for p in resolved["problems"]]
@@ -492,9 +492,9 @@ def run_suite(resolved, echo=print):
     for e in entries:
         status = "ok" if e["passed"] else "FAIL"
         extra = " (diverged)" if e["diverged"] else ""
-        echo(f"  cell {e['cell_index']} [{e['label']}] {status}{extra} "
-             f"-> {e['csv']}")
-    echo(f"summary: {summary_path}")
+        print(f"  cell {e['cell_index']} [{e['label']}] {status}{extra} "
+              f"-> {e['csv']}")
+    print(f"summary: {summary_path}")
     return summary, (EXIT_OK if all_passed else EXIT_FAILED)
 
 
@@ -573,24 +573,22 @@ def cmd_plotdata(path, metric, transform="none", stride=1, out=None,
 # CLI
 
 
-def cmd_run(config_path, out=None, err=None):
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
+def cmd_run(config_path):
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        print(f"cannot read {config_path}: {exc}", file=err)
+        print(f"cannot read {config_path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except json.JSONDecodeError as exc:
         print(f"malformed JSON in {config_path}: line {exc.lineno} "
-              f"column {exc.colno}: {exc.msg}", file=err)
+              f"column {exc.colno}: {exc.msg}", file=sys.stderr)
         return EXIT_USAGE
     try:
         resolved = resolve_config(doc)
-        _, code = run_suite(resolved, echo=lambda *a: print(*a, file=out))
+        _, code = run_suite(resolved)
     except ConfigError as exc:
-        print(f"config error at {exc.field}: {exc.message}", file=err)
+        print(f"config error at {exc.field}: {exc.message}", file=sys.stderr)
         return EXIT_USAGE
     return code
 

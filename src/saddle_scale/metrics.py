@@ -9,7 +9,7 @@ fitting, and the scalar inequality (1 - 1/T)^sqrt(T) <= 1 - 1/(2 sqrt(T)).
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,11 +38,9 @@ class RunRecord:
     dhat_min: float
     dhat_max: float
     grad_calls: int
-    gap: float | None = None
 
 
-RECORD_FIELDS = ("t", "r2_weighted", "dist2", "grad_norm2", "dhat_min",
-                 "dhat_max", "grad_calls")
+RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
 
 
 def _row(v):
@@ -102,12 +100,12 @@ def weighted_dist_sq(z, z_star, scaling):
     return float(np.dot(scaling.clipped * dz, dz))
 
 
-def noise_floor(records, tail_frac=0.2):
-    """Plateau estimate: median r2_weighted over the trailing fraction of
-    ``records`` (a ``Records`` view)."""
+def noise_floor(records):
+    """Plateau estimate: median r2_weighted over the trailing fifth of
+    ``records`` (a ``Records`` view), at least one record."""
     if not len(records):
         raise InvalidParameterError("noise_floor needs a non-empty record list")
-    k = max(1, math.ceil(tail_frac * len(records)))
+    k = max(1, math.ceil(0.2 * len(records)))
     return float(np.median(records.r2_weighted[-k:]))
 
 
@@ -191,14 +189,15 @@ class ContractionReport:
     factor_max: float
 
 
-def contraction_check(traj, problem, config, region_radius=None):
+def contraction_check(traj, problem, config):
     """Audit R^2_{t+1} <= (1 - gamma*mu/Gamma + (1 - beta_{t+1}) C) R^2_t
     per recorded step of a deterministic strongly-monotone extragradient run
-    (tolerance 1e-10 * R^2_0).
+    (tolerance 1e-10 * R^2_0) under ``config.scaling`` (the identity scaling
+    when the config names none).
 
-    Gamma comes from gamma_bound when available; for gradient-square
-    scalings without a region radius, the run-observed maximum of the
-    clipped diagonal is itself a valid weighting bound and is used instead.
+    Gamma is gamma_bound's sqrt(d) L for Hutchinson scalings; for
+    gradient-square scalings the run-observed maximum of the clipped
+    diagonal (at least floor_e) is itself a valid weighting bound.
     """
     scaling = config.scaling
     if config.method != "extragrad":
@@ -213,8 +212,8 @@ def contraction_check(traj, problem, config, region_radius=None):
     if config.gamma is None:
         raise InvalidParameterError("contraction audit needs an explicit gamma")
     records = traj.records
-    if scaling.source == "hutchinson" or region_radius is not None:
-        cap = gamma_bound(scaling.source, problem, region_radius)
+    if scaling.source == "hutchinson":
+        cap = gamma_bound("hutchinson", problem)
     elif len(records):
         cap = max(scaling.floor_e, float(records.dhat_max.max()))
     else:

@@ -48,6 +48,10 @@ METHODS = ("extragrad", "single-call-momentum", "sgda")
 DIVERGENCE_RADIUS = 1e12
 STREAM_CHUNK = 1000
 
+# the scaling of a config that names none; ``run`` spawns it at the
+# problem's dimensions, and sharing one instance keeps such configs equal
+_IDENTITY = scaling_preset("identity", 1, 1)
+
 
 @dataclass(frozen=True)
 class RunStreams:
@@ -120,6 +124,8 @@ class ScalingTrace:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """One run's settings; ``scaling=None`` becomes the identity scaling."""
+
     method: str
     T: int
     seed: int
@@ -136,6 +142,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InvalidParameterError(f"unknown method {self.method!r}")
+        if self.scaling is None:
+            object.__setattr__(self, "scaling", _IDENTITY)
         if problems._as_count(self.T, "T") < 0:
             raise InvalidParameterError("T must be non-negative")
         if problems._as_count(self.seed, "seed") < 0:
@@ -174,23 +182,18 @@ class Trajectory:
 # parameter resolution and theory gates
 
 
-def _template(config):
-    return config.scaling if config.scaling is not None else scaling_preset(
-        "identity", 1, 1)
-
-
 def resolve_gamma(problem, config):
     """Explicit step size, or the most conservative theoretical default
     floor_e / (10 L) when the config leaves gamma unset."""
     if config.gamma is not None:
         return float(config.gamma)
-    return _template(config).floor_e / (10.0 * problem.L)
+    return config.scaling.floor_e / (10.0 * problem.L)
 
 
 def theory_gate_failure(problem, config, gamma):
     """(parameter, message) for the first theory-safe gate that ``config``
     breaks at step size ``gamma`` on ``problem``, or None."""
-    e = _template(config).floor_e
+    e = config.scaling.floor_e
     L = problem.L
     if config.method == "single-call-momentum":
         cap = e / (10.0 * L)
@@ -350,8 +353,7 @@ def run(problem, config, on_records=None):
     else:
         z0 = PointPair(streams.init.standard_normal(dx),
                        streams.init.standard_normal(dy))
-    scaling = (config.scaling if config.scaling is not None
-               else scaling_preset("identity", dx, dy)).spawn(dx, dy)
+    scaling = config.scaling.spawn(dx, dy)
     z_star = problem.z_star.as_vector()
     T = config.T
     method, batch, eta = config.method, config.batch, config.eta
@@ -469,9 +471,7 @@ def run(problem, config, on_records=None):
                     np.divide(pull, clipped, out=pull)
                     np.multiply(pull, eta, out=pull)
                     np.add(z, pull, out=z_next)
-                    np.divide(g_h, clipped, out=step)
-                    np.multiply(step, gamma, out=step)
-                    np.subtract(z_next, step, out=z_next)
+                    step_into(z_next, g_h, z_next)
                 else:
                     step_into(z, g_h, z_next)
             # one dot serves the finite check here and the radius check below

@@ -324,15 +324,9 @@ def _effective_prob(state):
 
 def growth_constant(state, cap):
     """The beta-free growth coefficient C: p*Gamma^2/(2 e^2) for the
-    squared rule, 2 p Gamma / e for the additive rule."""
+    squared rule, 2 p Gamma / e for the additive rule.  An update with
+    weight beta_t grows each clipped entry by at most 1 + (1 - beta_t) C."""
     p_eff = _effective_prob(state)
     if state.rule == "squared-ema":
         return p_eff * cap * cap / (2.0 * state.floor_e * state.floor_e)
     return 2.0 * p_eff * cap / state.floor_e
-
-
-def growth_factor(state, cap):
-    """Upper bound on clipped_{next}/clipped_{now} per entry for the next
-    update: 1 + (1 - beta_next) * C with C = growth_constant."""
-    b = beta_t(state.schedule, state.beta, state.t)
-    return 1.0 + (1.0 - b) * growth_constant(state, cap)

@@ -113,7 +113,6 @@ class SaddleProblem:
     L: float
     sigma: float = 0.0
     noise_bound: float = 0.0
-    seed: int = 0
     A: np.ndarray | None = None
     B: np.ndarray | None = None
     C: np.ndarray | None = None
@@ -134,13 +133,13 @@ class SaddleProblem:
             if not 0 <= getattr(self, name) < math.inf:
                 raise InvalidParameterError(
                     f"{name} must be non-negative and finite")
-        if self.B is not None and self.BT is None:
-            object.__setattr__(self, "BT", self.B.T.copy())
         for name in ("A", "B", "C", "BT"):
             m = getattr(self, name)
             if m is not None:
                 m = np.ascontiguousarray(np.asarray(m, dtype=np.float64))
                 object.__setattr__(self, name, _freeze(m))
+        if self.B is not None and self.BT is None:
+            object.__setattr__(self, "BT", _freeze(self.B.T.copy()))
         for name in ("a", "c"):
             v = getattr(self, name)
             if v is not None:
@@ -149,7 +148,10 @@ class SaddleProblem:
     # -- convenience constructors -----------------------------------------
 
     @staticmethod
-    def bilinear_from_matrix(B, sigma=0.0, noise_bound=None, seed=0):
+    def bilinear_from_matrix(B):
+        """Noise-free bilinear problem f(x, y) = x'By with L the top singular
+        value of B; z* = 0 when B is square and nonsingular.  Add noise with
+        ``dataclasses.replace(p, sigma=s, noise_bound=b)``."""
         B = np.atleast_2d(np.asarray(B, dtype=np.float64))
         s = np.linalg.svd(B, compute_uv=False)
         L = float(s.max())
@@ -158,8 +160,7 @@ class SaddleProblem:
             z_star = PointPair(np.zeros(B.shape[0]), np.zeros(B.shape[1]))
         return SaddleProblem(
             kind="bilinear", d_x=B.shape[0], d_y=B.shape[1], mu=0.0, L=L,
-            sigma=sigma, noise_bound=_default_bound(sigma, noise_bound),
-            seed=seed, B=B, z_star=z_star,
+            B=B, z_star=z_star,
         )
 
 
@@ -352,11 +353,11 @@ def verify_minty(p, radius, grid_n):
 # generators
 
 
-def quadratic_from_matrices(A, B, C, a, c, sigma=0.0, noise_bound=None,
-                            seed=0):
-    """Build a strongly convex-strongly concave quadratic from explicit
-    matrices: A and C must be symmetric with positive spectra (checked),
-    and mu is the smaller of their least eigenvalues.
+def quadratic_from_matrices(A, B, C, a, c):
+    """Build a noise-free strongly convex-strongly concave quadratic from
+    explicit matrices: A and C must be symmetric with positive spectra
+    (checked), and mu is the smaller of their least eigenvalues.  Add noise
+    with ``dataclasses.replace(p, sigma=s, noise_bound=b)``.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     C = np.atleast_2d(np.asarray(C, dtype=np.float64))
@@ -377,9 +378,7 @@ def quadratic_from_matrices(A, B, C, a, c, sigma=0.0, noise_bound=None,
     J = np.block([[A, B], [-B.T, C]])
     L = float(np.linalg.svd(J, compute_uv=False).max())
     prob = SaddleProblem(
-        kind="quadratic", d_x=dx, d_y=dy, mu=mu, L=L, sigma=sigma,
-        noise_bound=_default_bound(sigma, noise_bound), seed=seed,
-        A=A, B=B, C=C, a=a, c=c,
+        kind="quadratic", d_x=dx, d_y=dy, mu=mu, L=L, A=A, B=B, C=C, a=a, c=c,
     )
     try:
         return dataclasses.replace(prob, z_star=solve_exact(prob))
@@ -444,7 +443,7 @@ def make_quadratic(d_x, d_y, mu, L, seed, sigma=0.0, noise_bound=None):
     prob = SaddleProblem(
         kind="quadratic", d_x=d_x, d_y=d_y, mu=float(mu), L=float(L),
         sigma=sigma, noise_bound=_default_bound(sigma, noise_bound),
-        seed=seed, A=A, B=B, C=C, a=a, c=c,
+        A=A, B=B, C=C, a=a, c=c,
     )
     return dataclasses.replace(prob, z_star=solve_exact(prob))
 
@@ -466,7 +465,7 @@ def make_bilinear(d, L, seed, sigma=0.0, noise_bound=None):
         B = (U * svals) @ V.T
     return SaddleProblem(
         kind="bilinear", d_x=d, d_y=d, mu=0.0, L=float(L), sigma=sigma,
-        noise_bound=_default_bound(sigma, noise_bound), seed=seed, B=B,
+        noise_bound=_default_bound(sigma, noise_bound), B=B,
         z_star=PointPair(np.zeros(d), np.zeros(d)),
     )
 
@@ -485,7 +484,7 @@ def make_minty(seed, sigma=0.0, noise_bound=None):
     prob = SaddleProblem(
         kind="minty-example", d_x=1, d_y=1, mu=0.0, L=float(2.0 + alpha),
         sigma=sigma, noise_bound=_default_bound(sigma, noise_bound),
-        seed=seed, alpha=float(alpha),
+        alpha=float(alpha),
         z_star=PointPair(np.zeros(1), np.zeros(1)),
     )
     if not verify_minty(prob, radius=10.0, grid_n=1001):

@@ -96,37 +96,24 @@ def run_all(only=None, seed=42):
 
 
 _RANGE_CACHE = {}
-def _preset_runs(seed):
-    """One traced run per preset on a noisy SC quadratic (total dimension
-    20).  Descent-ascent drives the trajectory: the clipping audit concerns
-    the scaling updates, which fire once per iteration for every method,
-    and the single oracle call per step keeps the suite fast."""
-    key = ("presets", seed)
-    if key not in _RANGE_CACHE:
-        problem = make_quadratic(10, 10, mu=1.0, L=2.0, seed=101, sigma=0.5)
-        out = []
-        for preset in ("adam", "rmsprop", "adahessian", "oasis"):
-            scaling = scaling_preset(preset, 10, 10)
-            cfg = OptimizerConfig(
-                method="sgda", T=10_000, seed=seed, scaling=scaling,
-                gamma=scaling.floor_e / (4.0 * problem.L), batch=8,
-                trace_scaling=True)
-            out.append((preset, problem, run(problem, cfg)))
-        _RANGE_CACHE[key] = out
-    return _RANGE_CACHE[key]
+_RANGE_PRESETS = ("adam", "rmsprop", "adahessian", "oasis")
 
 
-def _skip_run(seed):
-    """A probabilistic-update run so the skipped branch is actually hit."""
-    key = ("skip", seed)
+def _traced_run(seed, preset, update_prob=1.0):
+    """(problem, trajectory) of one cached traced run of ``preset`` on a
+    noisy SC quadratic (total dimension 20).  Descent-ascent drives the
+    trajectory: the clipping audit concerns the scaling updates, which fire
+    once per iteration for every method, and the single oracle call per
+    step keeps the suite fast."""
+    key = (seed, preset, update_prob)
     if key not in _RANGE_CACHE:
         problem = make_quadratic(10, 10, mu=1.0, L=2.0, seed=101, sigma=0.5)
-        scaling = scaling_preset("oasis", 10, 10, update_prob=0.3)
+        scaling = scaling_preset(preset, 10, 10, update_prob=update_prob)
         cfg = OptimizerConfig(
-            method="sgda", T=10_000, seed=seed + 1, scaling=scaling,
+            method="sgda", T=10_000, seed=seed, scaling=scaling,
             gamma=scaling.floor_e / (4.0 * problem.L), batch=8,
             trace_scaling=True)
-        _RANGE_CACHE[key] = ("oasis-p0.3", problem, run(problem, cfg))
+        _RANGE_CACHE[key] = (problem, run(problem, cfg))
     return _RANGE_CACHE[key]
 
 
@@ -148,10 +135,10 @@ def _cap_for(problem, traj, scaling):
            "clipped diagonal entries stay in [e, Gamma] across 1e4-step runs "
            "of all four presets")
 def _check_scaling_range(seed):
-    runs = _preset_runs(seed)
     violations = 0
     worst = 0.0
-    for _, problem, traj in runs:
+    for preset in _RANGE_PRESETS:
+        problem, traj = _traced_run(seed, preset)
         scaling = traj.config.scaling
         cap = _cap_for(problem, traj, scaling)
         # each record carries the min and max of the step's clipped diagonal
@@ -168,10 +155,12 @@ def _check_scaling_range(seed):
            "every fired update grows clipped entries by at most "
            "1 + (1-beta_t) C; skipped updates never grow them")
 def _check_scaling_growth(seed):
-    runs = _preset_runs(seed) + [_skip_run(seed)]
+    # the probabilistic-update run hits the skipped branch
+    runs = [_traced_run(seed, preset) for preset in _RANGE_PRESETS]
+    runs.append(_traced_run(seed + 1, "oasis", update_prob=0.3))
     violations = 0
     checked = 0
-    for _, problem, traj in runs:
+    for problem, traj in runs:
         scaling = traj.config.scaling
         cap = _cap_for(problem, traj, scaling)
         c_full = growth_constant(

@@ -10,7 +10,6 @@ different BLAS kernel may round GEMVs differently and move them.
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -19,7 +18,7 @@ import pytest
 
 from saddle_scale import bench
 from saddle_scale.errors import DivergenceError
-from saddle_scale.metrics import RunRecord
+from saddle_scale.metrics import RECORD_FIELDS
 from saddle_scale.optim import OptimizerConfig, run
 from saddle_scale.precond import ScalingState, scaling_preset
 from saddle_scale.problems import (
@@ -54,9 +53,12 @@ def trajectory_digest(traj):
         h.update(pair.as_vector().tobytes())
     h.update(traj.half_z.tobytes())
     h.update(f"{traj.grad_calls},{traj.hvp_calls}".encode())
-    for f in dataclasses.fields(RunRecord):
-        col = ",".join(_hex(getattr(r, f.name)) for r in traj.records)
-        h.update(f"{f.name}:{col};".encode())
+    for name in RECORD_FIELDS:
+        col = ",".join(_hex(getattr(r, name)) for r in traj.records)
+        h.update(f"{name}:{col};".encode())
+    # records once had a never-set gap field; its None column stays hashed
+    # so that no digest moves
+    h.update(f"gap:{','.join(['None'] * len(traj.records))};".encode())
     return h.hexdigest()[:16]
 
 

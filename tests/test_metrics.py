@@ -19,6 +19,7 @@ from saddle_scale.errors import (
     PreconditionError,
 )
 from saddle_scale.metrics import (
+    RECORD_FIELDS,
     Records,
     RunRecord,
     _ball_extremum,
@@ -294,7 +295,9 @@ def test_scalar_inequality_rejects_bad_T():
 def test_run_record_defaults():
     r = RunRecord(t=0, r2_weighted=1.0, dist2=1.0, grad_norm2=0.5,
                   dhat_min=0.01, dhat_max=2.0, grad_calls=2)
-    assert r.gap is None
+    assert tuple(vars(r)) == RECORD_FIELDS == (
+        "t", "r2_weighted", "dist2", "grad_norm2", "dhat_min", "dhat_max",
+        "grad_calls")
 
 
 def mk_records(r2_values):
@@ -379,3 +382,15 @@ def test_contraction_check_oasis_on_random_sc_quadratic():
     traj = run(p, cfg)
     rep = contraction_check(traj, p, cfg)
     assert rep.passed, rep.first_violation
+
+
+def test_contraction_check_reads_the_default_identity_scaling():
+    from saddle_scale.optim import OptimizerConfig, run
+
+    p = make_quadratic(2, 2, mu=0.5, L=2.0, seed=0)
+    cfg = OptimizerConfig(method="extragrad", T=50, seed=0, gamma=1e-3)
+    rep = contraction_check(run(p, cfg), p, cfg)
+    explicit = dataclasses.replace(
+        cfg, scaling=scaling_preset("identity", 2, 2))
+    assert rep == contraction_check(run(p, explicit), p, explicit)
+    assert rep.passed and rep.checked == 49

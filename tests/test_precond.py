@@ -28,7 +28,6 @@ from saddle_scale.precond import (
     curvature_hutchinson,
     gamma_bound,
     growth_constant,
-    growth_factor,
     hutchinson_probe,
     scaling_preset,
 )
@@ -440,27 +439,6 @@ def test_gamma_bound_unknown_source():
         gamma_bound("finite-difference", p, region_radius=1.0)
 
 
-def test_growth_factor_frozen_beta_is_one():
-    s = mk_state(beta=1.0)
-    assert growth_factor(s, 100.0) == 1.0
-
-
-def test_growth_factor_squared_formula():
-    s = mk_state(rule="squared-ema", beta=0.5, floor_e=1.0, update_prob=1.0)
-    assert growth_factor(s, 2.0) == pytest.approx(2.0, rel=1e-15)
-
-
-def test_growth_factor_additive_formula():
-    s = mk_state(rule="additive-ema", beta=0.9, floor_e=0.01, update_prob=0.5)
-    assert growth_factor(s, 1.0) == pytest.approx(11.0, rel=1e-12)
-
-
-def test_growth_factor_debias_first_step_uses_beta_zero():
-    s = mk_state(rule="squared-ema", schedule="adam-debias", beta=0.999,
-                 floor_e=1.0)
-    assert growth_factor(s, 2.0) == pytest.approx(3.0, rel=1e-15)
-
-
 def test_growth_constant_formulas():
     sq = mk_state(rule="squared-ema", floor_e=0.5, update_prob=0.25)
     assert growth_constant(sq, 3.0) == pytest.approx(0.25 * 9.0 / 0.5, rel=1e-15)
@@ -500,8 +478,10 @@ def test_per_step_growth_bound(rule):
                  update_prob=0.7, d_x=4, d_y=3)
     rng = np.random.default_rng(21)
     hgen = np.random.default_rng(22)
+    c_full = growth_constant(dataclasses.replace(s, update_prob=1.0),
+                             gamma_cap)
     for _ in range(500):
-        factor = growth_factor(dataclasses.replace(s, update_prob=1.0), gamma_cap)
+        factor = 1.0 + (1.0 - beta_t(s.schedule, s.beta, s.t)) * c_full
         prev_x, prev_y = s.clipped_x.copy(), s.clipped_y.copy()
         if rule == "squared-ema":
             h = cat(hgen.uniform(0, gamma_cap**2, 4),

@@ -5,6 +5,8 @@ Derived expectations are computed by independent oracles inside this file
 rather than by the library code under test.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -299,6 +301,25 @@ def test_verify_minty_rejects_anti_convex_quadratic():
                       a=np.zeros(1), c=np.zeros(1),
                       z_star=PointPair([0.0], [0.0]))
     assert not verify_minty(p, radius=1.0, grid_n=20)
+
+
+def test_saddle_problem_converts_nested_lists_before_transposing():
+    p = SaddleProblem(kind="quadratic", d_x=1, d_y=2, mu=0.0, L=1.0,
+                      A=[[1.0]], B=[[0.0, 2.0]], C=[[1.0, 0.0], [0.0, 1.0]],
+                      a=[0.0], c=[0.0, 0.0])
+    np.testing.assert_array_equal(p.BT, [[0.0], [2.0]])
+    for m in (p.A, p.B, p.C, p.BT):
+        assert m.dtype == np.float64 and m.flags.c_contiguous
+        assert not m.flags.writeable
+
+
+def test_explicit_matrix_problems_take_noise_through_replace():
+    p = SaddleProblem.bilinear_from_matrix([[2.0]])
+    assert p.sigma == 0.0 and p.noise_bound == 0.0
+    noisy = dataclasses.replace(p, sigma=0.5, noise_bound=5.0)
+    assert (noisy.sigma, noisy.noise_bound, noisy.L) == (0.5, 5.0, 2.0)
+    with pytest.raises(InvalidParameterError):
+        dataclasses.replace(p, sigma=np.inf)
 
 
 def test_verify_minty_preconditions():

@@ -28,40 +28,43 @@ def traced_run(problem, scaling, seed):
         trace_scaling=True))
 
 
+# verify's cache keys (seed, preset, update_prob) of the four preset runs
+# at SEED and of the probabilistic-update run the growth check adds
+PRESET_KEYS = [(SEED, name, 1.0)
+               for name in ("adam", "rmsprop", "adahessian", "oasis")]
+SKIP_KEY = (SEED + 1, "oasis", 0.3)
+
+
 @pytest.fixture()
 def cached_runs(monkeypatch):
-    """verify's run cache, filled with short runs for SEED: the four
-    presets and the probabilistic-update run the growth check adds."""
+    """verify's run cache, filled with short runs under the keys above."""
     monkeypatch.setattr(verify, "_RANGE_CACHE", {})
     problem = make_quadratic(10, 10, mu=1.0, L=2.0, seed=101, sigma=0.5)
-    presets = [(name, problem, traced_run(problem,
-                                          scaling_preset(name, 10, 10), SEED))
-               for name in ("adam", "rmsprop", "adahessian", "oasis")]
-    skip = ("oasis-p0.3", problem, traced_run(
-        problem, scaling_preset("oasis", 10, 10, update_prob=0.3), SEED + 1))
-    verify._RANGE_CACHE[("presets", SEED)] = presets
-    verify._RANGE_CACHE[("skip", SEED)] = skip
+    for seed, name, update_prob in PRESET_KEYS + [SKIP_KEY]:
+        scaling = scaling_preset(name, 10, 10, update_prob=update_prob)
+        verify._RANGE_CACHE[seed, name, update_prob] = (
+            problem, traced_run(problem, scaling, seed))
     return verify._RANGE_CACHE
 
 
 def planted(cached, step, entry, value):
-    """A cached (label, problem, trajectory) whose trace has ``value`` at
+    """A cached (problem, trajectory) whose trace has ``value`` at
     ``[step, entry]``."""
-    label, problem, traj = cached
+    problem, traj = cached
     trace = traj.scaling_trace
     clipped = trace.clipped.copy()
     clipped[step, entry] = value
-    return label, problem, dataclasses.replace(
+    return problem, dataclasses.replace(
         traj, scaling_trace=ScalingTrace(clipped, trace.fired, trace.d_x))
 
 
 def planted_record(cached, step, column, value):
-    """A cached (label, problem, trajectory) whose records have ``value`` in
+    """A cached (problem, trajectory) whose records have ``value`` in
     ``column`` at ``step``."""
-    label, problem, traj = cached
+    problem, traj = cached
     block = traj.records.block.copy()
     block[step, RECORD_FIELDS.index(column)] = value
-    return label, problem, dataclasses.replace(traj, records=Records(block))
+    return problem, dataclasses.replace(traj, records=Records(block))
 
 
 def violations(name):
@@ -86,35 +89,34 @@ def test_clean_runs_have_no_violations(cached_runs):
 
 
 def test_range_counts_an_entry_below_the_floor(cached_runs):
-    presets = cached_runs[("presets", SEED)]
-    _, _, traj = presets[3]
-    presets[3] = planted_record(presets[3], 17, "dhat_min",
-                                traj.config.scaling.floor_e / 2)
+    key = PRESET_KEYS[3]
+    _, traj = cached_runs[key]
+    cached_runs[key] = planted_record(cached_runs[key], 17, "dhat_min",
+                                      traj.config.scaling.floor_e / 2)
     assert violations("scaling-range") == 1
 
 
 def test_range_counts_an_entry_above_gamma(cached_runs):
-    presets = cached_runs[("presets", SEED)]
-    _, problem, traj = presets[1]
+    key = PRESET_KEYS[1]
+    problem, traj = cached_runs[key]
     cap = verify._cap_for(problem, traj, traj.config.scaling)
-    presets[1] = planted_record(presets[1], 250, "dhat_max", 2.0 * cap)
+    cached_runs[key] = planted_record(cached_runs[key], 250, "dhat_max",
+                                      2.0 * cap)
     assert violations("scaling-range") == 1
 
 
 def test_growth_counts_a_fired_step_above_its_factor(cached_runs):
-    key = ("skip", SEED)
-    _, problem, traj = cached_runs[key]
+    problem, traj = cached_runs[SKIP_KEY]
     k = next(k for k in range(1, T) if traj.scaling_trace.fired[k])
-    cached_runs[key] = planted(cached_runs[key], k, 7,
-                               1.5 * growth_limit(problem, traj, k, 7))
+    cached_runs[SKIP_KEY] = planted(cached_runs[SKIP_KEY], k, 7,
+                                    1.5 * growth_limit(problem, traj, k, 7))
     assert violations("scaling-growth") == 1
 
 
 def test_growth_counts_a_skipped_step_that_grows(cached_runs):
-    key = ("skip", SEED)
-    _, _, traj = cached_runs[key]
+    _, traj = cached_runs[SKIP_KEY]
     k = next(k for k in range(1, T) if not traj.scaling_trace.fired[k])
     # well inside the fired factor, so only the skipped-step rule sees it
     grown = traj.scaling_trace.clipped[k - 1, 2] * 1.001
-    cached_runs[key] = planted(cached_runs[key], k, 2, grown)
+    cached_runs[SKIP_KEY] = planted(cached_runs[SKIP_KEY], k, 2, grown)
     assert violations("scaling-growth") == 1
