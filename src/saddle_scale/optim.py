@@ -47,6 +47,8 @@ METHODS = ("extragrad", "single-call-momentum", "sgda")
 
 DIVERGENCE_RADIUS = 1e12
 STREAM_CHUNK = 1000
+# entries per (rows, d) block of ``run``
+_BLOCK_ENTRIES = 2**16
 
 # the scaling of a config that names none; ``run`` spawns it at the
 # problem's dimensions, and sharing one instance keeps such configs equal
@@ -332,10 +334,19 @@ def run(problem, config, on_records=None):
     gradients, the running averages and the scaling's raw and clipped
     diagonals live in run-owned buffers updated with ``out=`` ufuncs.  It
     performs the arithmetic of ``step_extragrad``, ``step_single_call`` and
-    ``step_sgda`` in their order, so it reproduces them bit for bit.  Each
-    iteration writes one row of a (T, 7) record block (RECORD_FIELDS) and,
-    with ``trace_scaling``, one row of a (T, d) clipped-diagonal block and
-    of a fired column.
+    ``step_sgda`` in their order, so it reproduces them bit for bit.
+
+    Per step it takes the step itself, the radius and finite checks, one
+    row of ``half_z``, the uniform sum and the EMA, and keeps z_t, F(z_t)
+    and the clipped diagonal in rows of (rows, d) blocks.  Per block it
+    draws the noise of the next steps (``problems.noise_into``, keyed by
+    ``_seed``'s keys in order, never more rows than the run can still use)
+    and fills the (T, 7) record block (RECORD_FIELDS) from the three
+    blocks; a block is also flushed before every chunk and every returned
+    or attached trajectory.  The row count is min(STREAM_CHUNK, T,
+    2**16 // d), so the four blocks hold at most 2 MB at d = 1000.  With
+    ``trace_scaling`` each step also writes one row of a (T, d)
+    clipped-diagonal block and of a fired column.
     """
     gamma = resolve_gamma(problem, config)
     if config.theory_safe:
@@ -363,21 +374,26 @@ def run(problem, config, on_records=None):
     skip_rng, rademacher = streams.precond_skip, streams.rademacher
     lam = config.ema_lambda
     d = dx + dy
+    rows = max(1, min(STREAM_CHUNK, T, _BLOCK_ENTRIES // d))
+    # oracle calls per step, and the single-call warm start's one call
+    per_step = 2 if method == "extragrad" else 1
+    warm = 1 if method == "single-call-momentum" else 0
 
-    # run-owned buffers
-    z = z0.as_vector().copy()
-    z_next = np.empty(d)
-    z_half = z.copy()         # single-call's previous half-step starts at z0
-    w = z.copy()              # single-call's anchor
-    f = np.empty(d)           # exact field F(z_t)
+    # run-owned buffers; z_t is row j of zs and each step writes z_{t+1}
+    # into row j + 1, so the iterates of a block need no copy
+    zs = np.empty((rows + 1, d))
+    fs = np.empty((rows, d))  # exact fields F(z_t)
+    cs = np.empty((rows, d))  # clipped diagonals of the steps out of z_t
+    z_rows, f_rows, c_rows = list(zs), list(fs), list(cs)
+    np.copyto(z_rows[0], z0.as_vector())
+    z_half = z0.as_vector().copy()  # single-call's previous half-step
+    w = z_half.copy()                # single-call's anchor
     g = np.empty(d)           # stochastic gradient at z_t
     # stochastic gradient at the half-step; single-call carries it into the
     # next iteration, which reads it before overwriting it
     g_half = np.empty(d)
-    noise = np.empty(d)
     step = np.empty(d)
     pull = np.empty(d)
-    diff = np.empty(d)
     raw = scaling.raw.copy()
     clipped = scaling.clipped.copy()
     sum_half = np.zeros(d)
@@ -388,26 +404,39 @@ def run(problem, config, on_records=None):
     if trace:
         trace_clipped = np.empty((T, d))
         trace_fired = np.empty(T, dtype=bool)
+    if noisy:
+        noise = np.empty((rows, d))
+        noise_rows = list(noise)
+        # noise rows the run can use: two per extragrad step, one per other
+        # step, and single-call's warm start
+        noise_left = per_step * T + warm
+    drawn = used = 0  # rows of the noise block drawn and used
 
-    n = 0         # records written
+    n = 0         # steps taken, whose records are filled or pending
+    j = 0         # pending steps: rows of the blocks not yet recorded
     emitted = 0
-    dhat_min, dhat_max = float(clipped.min()), float(clipped.max())
-    grad_calls = 0
     hvp_calls = 0
 
     def add_noise_into(f_x, out):
         """Stochastic gradient from the exact field ``f_x``: ``f_x`` itself
-        on a noise-free problem, else ``noise + f_x`` written into ``out``
-        (the operand order of ``add_noise``).
+        on a noise-free problem, else the next noise row + ``f_x`` written
+        into ``out`` (the operand order of ``add_noise``).
 
         Unlike ``add_noise`` this does not check finiteness: a non-finite
         gradient makes ``curvature_for`` raise or the step taken with it
         non-finite (gamma > 0 and clipped >= e > 0), and both the half-step
         and the next iterate are checked."""
+        nonlocal drawn, used, noise_left
         if not noisy:
             return f_x
-        problems.noise_into(problem, _seed(streams), batch, noise)
-        return np.add(noise, f_x, out=out)
+        if used == drawn:
+            drawn = min(rows, noise_left)
+            noise_left -= drawn
+            problems.noise_into(problem, [_seed(streams) for _ in range(drawn)],
+                                batch, noise[:drawn])
+            used = 0
+        used += 1
+        return np.add(noise_rows[used - 1], f_x, out=out)
 
     def step_into(x, grad, out):
         """out <- x - gamma * (grad / clipped)"""
@@ -415,13 +444,36 @@ def run(problem, config, on_records=None):
         np.multiply(step, gamma, out=step)
         return np.subtract(x, step, out=out)
 
+    def flush():
+        """Fill the records of the pending steps from the blocks, then move
+        the current iterate to row 0."""
+        nonlocal j
+        if j == 0:
+            return
+        diff, c = zs[:j], cs[:j]
+        rec = record_block[n - j:n]
+        ts = np.arange(n - j, n, dtype=np.float64)
+        rec[:, 0] = ts
+        rec[:, 4] = np.minimum.reduce(c, axis=1)
+        rec[:, 5] = np.maximum.reduce(c, axis=1)
+        rec[:, 3] = np.vecdot(fs[:j], fs[:j])
+        np.subtract(diff, z_star, out=diff)
+        rec[:, 2] = np.vecdot(diff, diff)
+        np.multiply(c, diff, out=c)
+        rec[:, 1] = np.vecdot(c, diff)
+        rec[:, 6] = (ts + 1) * per_step + warm
+        np.copyto(z_rows[0], z_rows[j])
+        j = 0
+
     def emit():
         nonlocal emitted
+        flush()
         if on_records is not None and emitted < n:
             on_records(Records(record_block[emitted:n]))
         emitted = n
 
-    def snapshot(final_z):
+    def snapshot():
+        # every caller emits first, which flushes
         if n > 0:
             avg_u = _pair(problem, sum_half / n)
             avg_e = _pair(problem, ema)
@@ -429,22 +481,23 @@ def run(problem, config, on_records=None):
             avg_u = avg_e = z0
         return Trajectory(
             records=Records(record_block[:n]), half_z=half_z[:n],
-            final_z=_pair(problem, final_z),
+            final_z=_pair(problem, z_rows[0]),
             final_avg_uniform=avg_u, final_avg_ema=avg_e,
-            grad_calls=grad_calls, hvp_calls=hvp_calls, config=config,
+            grad_calls=per_step * n + warm, hvp_calls=hvp_calls,
+            config=config,
             scaling_trace=(ScalingTrace(trace_clipped[:n], trace_fired[:n], dx)
                            if trace else None))
 
     if method == "single-call-momentum":
         # the warm start sits outside the loop, so its failure is not a
         # divergence
-        field_into(problem, z, g_half)
+        field_into(problem, z_rows[0], g_half)
         add_noise_into(g_half, g_half)
         if not np.isfinite(g_half).all():
             raise NonFiniteError("gradient entries must be finite")
-        grad_calls += 1
 
     for t in range(T):
+        z, z_next, f = z_rows[j], z_rows[j + 1], f_rows[j]
         try:
             # F(z_t) serves the record's grad_norm2 and, for extragrad and
             # sgda, the first gradient of the step
@@ -457,7 +510,6 @@ def run(problem, config, on_records=None):
             if fired:
                 h = curvature_for(scaling, problem, at, g_t, rademacher)
                 ema_clip_into(scaling, t, h, raw, clipped)
-                dhat_min, dhat_max = float(clipped.min()), float(clipped.max())
             if method == "sgda":
                 half = step_into(z, g_t, z_next)
             else:
@@ -482,28 +534,16 @@ def run(problem, config, on_records=None):
             emit()
             raise DivergenceError(
                 f"iterate turned non-finite at iteration {t}",
-                trajectory=snapshot(z), t=n) from exc
-        if method == "single-call-momentum":
-            if anchor_prob >= 1.0 or streams.anchor.random() < anchor_prob:
-                np.copyto(w, z)
-            grad_calls += 1
-        elif method == "extragrad":
-            grad_calls += 2
-        else:
-            grad_calls += 1
+                trajectory=snapshot(), t=n) from exc
+        if method == "single-call-momentum" and (
+                anchor_prob >= 1.0 or streams.anchor.random() < anchor_prob):
+            np.copyto(w, z)
         if fired and hutchinson:
             hvp_calls += 1
         if trace:
             trace_fired[t] = fired
             trace_clipped[t] = clipped
-
-        np.subtract(z, z_star, out=diff)
-        np.multiply(clipped, diff, out=step)
-        record_block[t] = (t, np.dot(step, diff), np.dot(diff, diff),
-                           np.dot(f, f), dhat_min, dhat_max, grad_calls)
-        n = t + 1
-        if n - emitted >= STREAM_CHUNK:
-            emit()
+        np.copyto(c_rows[j], clipped)
 
         half_z[t] = half
         sum_half += half
@@ -514,12 +554,17 @@ def run(problem, config, on_records=None):
             np.multiply(half, 1 - lam, out=step)
             ema += step
 
-        z, z_next = z_next, z
+        n = t + 1
+        j += 1
+        if j == rows:
+            flush()
+        if n - emitted >= STREAM_CHUNK:
+            emit()
         if not math.isfinite(norm2) or norm2 > DIVERGENCE_RADIUS**2:
             emit()
             raise DivergenceError(
                 f"iterate norm passed {DIVERGENCE_RADIUS:g} at iteration {t}",
-                trajectory=snapshot(z), t=n)
+                trajectory=snapshot(), t=n)
 
     emit()
-    return snapshot(z)
+    return snapshot()

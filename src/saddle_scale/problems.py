@@ -175,27 +175,23 @@ def _default_bound(sigma, noise_bound):
 _TLS = threading.local()
 
 
-def _sample_rng(seed):
-    """Counter-based generator keyed by ``seed``: draws equal those of
-    ``np.random.Generator(np.random.Philox(key=seed))`` but the per-call
-    setup is a state reset on a thread-local instance, not a construction
-    (sample seeding sits on the hot path of every stochastic oracle call).
+def _sample_rng():
+    """Thread-local counter-based generator, its bit generator and the
+    cached state dict whose two key words ``noise_into`` rewrites.
 
-    The cached state dict of the fresh generator keeps its zero counter,
-    empty buffer and no spare 32-bit word, so each reset only rewrites the
-    two key words.
+    After ``key[0], key[1] = seed % 2**64, seed >> 64`` and
+    ``bg.state = state`` the generator draws what
+    ``np.random.Generator(np.random.Philox(key=seed))`` draws, at the cost
+    of a state reset and not of a construction (sample seeding sits on the
+    hot path of every stochastic oracle call).  The cached state keeps its
+    zero counter, empty buffer and no spare 32-bit word.
     """
     gen = getattr(_TLS, "gen", None)
     if gen is None:
         _TLS.bg = np.random.Philox(key=0)
         _TLS.gen = gen = np.random.Generator(_TLS.bg)
         _TLS.state = _TLS.bg.state
-        _TLS.key = _TLS.state["state"]["key"]
-    key = _TLS.key
-    key[0] = seed & 0xFFFFFFFFFFFFFFFF
-    key[1] = seed >> 64
-    _TLS.bg.state = _TLS.state
-    return gen
+    return gen, _TLS.bg, _TLS.state
 
 
 def field_into(p, z_cat, out):
@@ -213,12 +209,20 @@ def field_into(p, z_cat, out):
     dx = p.d_x
     x = z_cat[:dx]
     y = z_cat[dx:]
+    ox = out[:dx]
+    oy = out[dx:]
+    # ((A x + B y) + a, (C y - B'x) + c), summed in place in that order
     if p.kind == "quadratic":
-        out[:dx] = np.dot(p.A, x) + np.dot(p.B, y) + p.a
-        out[dx:] = np.dot(p.C, y) - np.dot(p.BT, x) + p.c
+        np.dot(p.A, x, out=ox)
+        ox += np.dot(p.B, y)
+        ox += p.a
+        np.dot(p.C, y, out=oy)
+        oy -= np.dot(p.BT, x)
+        oy += p.c
     else:
-        out[:dx] = np.dot(p.B, y)
-        out[dx:] = -np.dot(p.BT, x)
+        np.dot(p.B, y, out=ox)
+        np.dot(p.BT, x, out=oy)
+        np.negative(oy, out=oy)
     return out
 
 
@@ -241,18 +245,29 @@ def hvp_into(p, z_cat, v_cat, out):
     return out
 
 
-def noise_into(p, seed, batch, out):
-    """Clipped-Gaussian noise keyed by ``seed``, written into ``out``.
+def noise_into(p, seeds, batch, out):
+    """Clipped-Gaussian noise written into the (m, d) block ``out``, row i
+    keyed by ``seeds[i]``.
 
     Zero mean by symmetry, per-coordinate std sigma (> 0) before the (rare)
-    norm clip at ``noise_bound``, scaled by 1/sqrt(batch).
+    norm clip at ``noise_bound``, scaled by 1/sqrt(batch).  Only the Philox
+    reset and the draw run per row; the scaling, the norms (``np.vecdot``
+    rows, which equal the per-row ``np.dot``), the clip and the division
+    run once over the block, so a row does not depend on the block it is
+    drawn in.
     """
-    rng = _sample_rng(seed)
-    rng.standard_normal(out=out)
+    gen, bg, state = _sample_rng()
+    key = state["state"]["key"]
+    for seed, row in zip(seeds, out):
+        key[0] = seed & 0xFFFFFFFFFFFFFFFF
+        key[1] = seed >> 64
+        bg.state = state
+        gen.standard_normal(out=row)
     out *= p.sigma
-    n = math.sqrt(out @ out)
-    if n > p.noise_bound:
-        out *= p.noise_bound / n
+    norms = np.sqrt(np.vecdot(out, out))
+    over = norms > p.noise_bound
+    if over.any():
+        out[over] *= (p.noise_bound / norms[over])[:, None]
     out /= math.sqrt(batch)
     return out
 
@@ -275,7 +290,7 @@ def add_noise(p, f, seed, batch):
     g = f
     if p.sigma > 0.0:
         # noise + f rounds exactly like f + noise, and spares a copy of f
-        g = noise_into(p, seed, batch, np.empty(f.shape[0]))
+        g = noise_into(p, (seed,), batch, np.empty((1, f.shape[0])))[0]
         g += f
     if not np.isfinite(g).all():
         raise NonFiniteError("gradient entries must be finite")

@@ -8,6 +8,7 @@ Oracle strategy: the scalar coupling f = xy has closed-form one-step maps
 directly against the field oracle cross-checks the production loop.
 """
 
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -15,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from saddle_scale import optim
+from saddle_scale import optim, problems
 from saddle_scale.errors import DivergenceError, InvalidParameterError
 from saddle_scale.optim import (
     DIVERGENCE_RADIUS,
@@ -408,6 +409,109 @@ def test_engine_matches_single_steps_bit_for_bit(method, sigma, scaling):
         if not entry.fired and prev is not None:
             assert np.array_equal(entry.clipped, prev)
         prev = entry.clipped
+
+
+def assert_run_matches_steps(p, cfg):
+    """run's trajectory equals the single steps' bit for bit, and its
+    on_records chunks concatenate to its records."""
+    chunks = []
+    # copied when delivered: a chunk must be complete when the run hands it
+    traj = run(p, cfg, on_records=lambda c: chunks.append(c.block.copy()))
+    (halves, final, avg_u, avg_e, grad_calls, hvp_calls, _,
+     records) = steps_reference(p, cfg)
+    assert np.array_equal(traj.half_z, halves)
+    assert np.array_equal(traj.final_z.as_vector(), final)
+    assert np.array_equal(traj.final_avg_uniform.as_vector(), avg_u)
+    assert np.array_equal(traj.final_avg_ema.as_vector(), avg_e)
+    assert (traj.grad_calls, traj.hvp_calls) == (grad_calls, hvp_calls)
+    assert [(r.dist2, r.r2_weighted, r.grad_norm2, r.dhat_min, r.dhat_max)
+            for r in traj.records] == records
+    assert traj.records.t.tolist() == list(range(cfg.T))
+    assert traj.records[-1].grad_calls == grad_calls
+    assert [len(c) for c in chunks] == (
+        [optim.STREAM_CHUNK] * (cfg.T // optim.STREAM_CHUNK)
+        + [cfg.T % optim.STREAM_CHUNK] * (cfg.T % optim.STREAM_CHUNK > 0))
+    assert np.array_equal(np.concatenate(chunks), traj.records.block)
+
+
+@pytest.mark.parametrize("method", optim.METHODS)
+def test_engine_matches_single_steps_across_blocks(method):
+    # d = 5: blocks of STREAM_CHUNK rows, so T crosses two block and chunk
+    # boundaries and ends mid-block
+    p = make_quadratic(3, 2, mu=0.5, L=2.0, seed=5, sigma=0.3)
+    T = 2 * optim.STREAM_CHUNK + 37
+    cfg = OptimizerConfig(method=method, T=T, seed=11, gamma=0.002,
+                          eta=0.004 if method == "single-call-momentum"
+                          else 0.0,
+                          batch=2, ema_lambda=0.9,
+                          scaling=scaling_preset("oasis", 3, 2,
+                                                 update_prob=0.5))
+    assert_run_matches_steps(p, cfg)
+
+
+@pytest.mark.parametrize("method", optim.METHODS)
+def test_engine_matches_single_steps_with_short_blocks(method):
+    # d = 100: blocks of 2**16 // 100 = 655 rows, so the chunk at 1000
+    # flushes mid-block and the blocks no longer line up with the chunks
+    dx = 50
+    p = make_quadratic(dx, dx, mu=0.5, L=2.0, seed=6, sigma=0.3)
+    T = 1100
+    assert optim._BLOCK_ENTRIES // (2 * dx) < T
+    cfg = OptimizerConfig(method=method, T=T, seed=12, gamma=0.002,
+                          eta=0.004 if method == "single-call-momentum"
+                          else 0.0,
+                          scaling=scaling_preset("adahessian", dx, dx))
+    assert_run_matches_steps(p, cfg)
+
+
+@pytest.mark.parametrize("method, T, blocks", [
+    ("extragrad", 1500, [1000, 1000, 1000]),
+    ("single-call-momentum", 1500, [1000, 501]),
+    ("sgda", 1500, [1000, 500]),
+    ("single-call-momentum", 0, [1]),
+    ("extragrad", 7, [7, 7]),
+])
+def test_run_draws_only_the_noise_it_uses(monkeypatch, method, T, blocks):
+    # noise blocks of at most min(STREAM_CHUNK, T) rows at d = 5, and no
+    # row past the 2T (extragrad), T (sgda) or T + 1 (single-call) the
+    # run can use
+    drawn = []
+    noise_into = problems.noise_into
+
+    def counted(p, seeds, batch, out):
+        drawn.append(out.shape[0])
+        return noise_into(p, seeds, batch, out)
+
+    monkeypatch.setattr(problems, "noise_into", counted)
+    p = make_quadratic(3, 2, mu=0.5, L=2.0, seed=5, sigma=0.3)
+    run(p, OptimizerConfig(method=method, T=T, seed=1, gamma=1e-3))
+    assert drawn == blocks
+
+
+def test_divergence_mid_block_keeps_an_exact_record_prefix():
+    # noisy sgda on a bilinear game grows until its norm passes the radius;
+    # at d = 400 the blocks hold 163 rows and the run stops inside one
+    p = make_bilinear(200, L=1.0, seed=3, sigma=0.1)
+    cfg = OptimizerConfig(method="sgda", gamma=0.2, T=5000, seed=2)
+    chunks = []
+    with pytest.raises(DivergenceError) as info:
+        run(p, cfg, on_records=lambda c: chunks.append(c.block.copy()))
+    err = info.value
+    rows = optim._BLOCK_ENTRIES // 400
+    assert err.t > optim.STREAM_CHUNK and err.t % rows != 0
+    recs = err.trajectory.records
+    assert len(recs) == err.t
+    assert np.array_equal(np.concatenate(chunks), recs.block)
+    ref = dataclasses.replace(cfg, T=err.t)
+    (halves, final, avg_u, avg_e, grad_calls, _, _,
+     records) = steps_reference(p, ref)
+    assert [(r.dist2, r.r2_weighted, r.grad_norm2, r.dhat_min, r.dhat_max)
+            for r in recs] == records
+    assert recs.t.tolist() == list(range(err.t))
+    assert recs.grad_calls.tolist() == list(range(1, err.t + 1))
+    assert np.array_equal(err.trajectory.half_z, halves)
+    assert np.array_equal(err.trajectory.final_z.as_vector(), final)
+    assert err.trajectory.grad_calls == grad_calls
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ rather than by the library code under test.
 """
 
 import dataclasses
+import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -23,12 +25,14 @@ from saddle_scale.errors import (
 from saddle_scale.problems import (
     PointPair,
     SaddleProblem,
+    add_noise,
     field_into,
     gradient,
     hvp_into,
     make_bilinear,
     make_minty,
     make_quadratic,
+    noise_into,
     quadratic_from_matrices,
     solve_exact,
     verify_minty,
@@ -365,6 +369,102 @@ def test_gradient_monte_carlo_mean():
     mean = acc / n
     band = 3 * (sigma / np.sqrt(b)) / np.sqrt(n)
     assert np.all(np.abs(mean - f) <= band)
+
+
+def noise_reference(p, key, batch):
+    """One key's noise from a freshly constructed Philox generator, with
+    the scalar formula: scale, clip the norm, divide by sqrt(batch)."""
+    v = np.random.Generator(np.random.Philox(key=key)).standard_normal(
+        p.d_x + p.d_y) * p.sigma
+    n = math.sqrt(np.dot(v, v))
+    if n > p.noise_bound:
+        v *= p.noise_bound / n
+    return v / math.sqrt(batch)
+
+
+def test_noise_block_rows_equal_per_key_draws():
+    p = make_quadratic(3, 2, 0.5, 2.0, seed=4, sigma=0.7, noise_bound=1.6)
+    keys = [0, 1, 12345, 2**63 - 1, 2**70 + 3, 7, 8, 9]
+    block = noise_into(p, keys, 4, np.empty((len(keys), 5)))
+    clipped = 0
+    for key, row in zip(keys, block):
+        ref = noise_reference(p, key, 4)
+        assert np.array_equal(row, ref)
+        # a clipped row sits on the bound/sqrt(batch) sphere
+        clipped += math.isclose(np.linalg.norm(row), 0.8, rel_tol=1e-12)
+    assert 0 < clipped < len(keys)
+    # a row does not depend on the block it is drawn in
+    for k in range(len(keys)):
+        one = noise_into(p, keys[k:k + 1], 4, np.empty((1, 5)))
+        assert np.array_equal(one[0], block[k])
+
+
+def test_add_noise_and_gradient_keep_their_vectors():
+    # the digest of these vectors as the scalar noise formula produced them
+    # before noise_into drew blocks; both problems' rows, clipped and not
+    p = make_quadratic(3, 2, 0.5, 2.0, seed=4, sigma=0.7)
+    z = np.array([0.3, -1.2, 0.5, 0.7, 0.1])
+    h = hashlib.sha256()
+    for prob in (p, dataclasses.replace(p, noise_bound=0.5)):
+        f = field_into(prob, z, np.empty(5))
+        for seed in (0, 1, 12345, 2**63 - 1, 2**70 + 3):
+            for batch in (1, 4):
+                g = add_noise(prob, f, seed, batch)
+                assert np.array_equal(
+                    g, f + noise_reference(prob, seed, batch))
+                h.update(g.tobytes())
+                h.update(gradient(prob, z, seed, batch).tobytes())
+    assert h.hexdigest() == ("8b7386d4af0a69ed202c363c4e2f992f"
+                             "283bb567d35cabd6bca66712d6a6344b")
+
+
+# ---------------------------------------------------------------------------
+# the numpy build's row-exact products that field_into, noise_into and run's
+# records rely on
+
+
+def test_vecdot_rows_equal_per_row_dot():
+    rng = np.random.default_rng(0)
+    for d in range(2, 1001):
+        X = rng.standard_normal((3, d))
+        Y = rng.standard_normal((3, d))
+        got = np.vecdot(X, Y)
+        assert [float(v) for v in got] == [
+            float(np.dot(x, y)) for x, y in zip(X, Y)], d
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (10, 10), (10, 7),
+                                  (20, 20), (64, 64), (300, 500),
+                                  (500, 500), (1000, 1000)])
+def test_dot_into_out_equals_dot(m, n):
+    rng = np.random.default_rng(m * n)
+    A = rng.standard_normal((m, n))
+    x = rng.standard_normal(n)
+    # field_into writes into the x and y slices of one vector
+    buf = np.empty(m + 3)
+    np.dot(A, x, out=buf[3:])
+    assert np.array_equal(buf[3:], np.dot(A, x))
+    o = np.empty(m)
+    np.dot(A, x, out=o)
+    assert np.array_equal(o, np.dot(A, x))
+
+
+@pytest.mark.parametrize("d", [10, 500])
+def test_field_into_equals_the_field_expression(d):
+    # field_into sums its blocks in place; that must round exactly like
+    # the expression it replaced
+    p = make_quadratic(d // 2, d // 2, 0.5, 2.0, seed=d)
+    b = make_bilinear(d // 2, 2.0, seed=d)
+    rng = np.random.default_rng(d)
+    dx = d // 2
+    for _ in range(200):
+        z = rng.standard_normal(d)
+        x, y = z[:dx], z[dx:]
+        want = np.concatenate([np.dot(p.A, x) + np.dot(p.B, y) + p.a,
+                               np.dot(p.C, y) - np.dot(p.BT, x) + p.c])
+        assert np.array_equal(field_into(p, z, np.empty(d)), want)
+        want = np.concatenate([np.dot(b.B, y), -np.dot(b.BT, x)])
+        assert np.array_equal(field_into(b, z, np.empty(d)), want)
 
 
 def test_gradient_validation():
