@@ -502,34 +502,31 @@ def run_suite(resolved):
 # plotdata
 
 
-def cmd_plotdata(path, metric, transform="none", stride=1, out=None,
-                 err=None):
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
+def cmd_plotdata(path, metric, transform="none", stride=1):
     if stride < 1:
-        print("stride must be >= 1", file=err)
+        print("stride must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     if transform not in TRANSFORMS:
         print(f"unknown transform {transform!r}; available: "
-              f"{', '.join(TRANSFORMS)}", file=err)
+              f"{', '.join(TRANSFORMS)}", file=sys.stderr)
         return EXIT_USAGE
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, 1)
                      if ln.strip() and not ln.startswith("#")]
     except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=err)
+        print(f"cannot read {path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if not lines:
-        print(f"{path} has no header row", file=err)
+        print(f"{path} has no header row", file=sys.stderr)
         return EXIT_USAGE
     columns = lines[0][1].split(",")
     if metric not in columns:
         print(f"unknown metric {metric!r}; columns: {', '.join(columns)}",
-              file=err)
+              file=sys.stderr)
         return EXIT_USAGE
     if "t" not in columns:
-        print(f"{path} header has no t column", file=err)
+        print(f"{path} header has no t column", file=sys.stderr)
         return EXIT_USAGE
     t_idx = columns.index("t")
     m_idx = columns.index(metric)
@@ -541,7 +538,7 @@ def cmd_plotdata(path, metric, transform="none", stride=1, out=None,
         parts = line.split(",")
         if len(parts) != len(columns):
             print(f"{path} line {lineno}: {len(parts)} fields, header has "
-                  f"{len(columns)}", file=err)
+                  f"{len(columns)}", file=sys.stderr)
             return EXIT_USAGE
         raw = parts[m_idx]
         if raw == "":
@@ -551,20 +548,21 @@ def cmd_plotdata(path, metric, transform="none", stride=1, out=None,
             v = float(raw)
         except ValueError:
             print(f"{path} line {lineno}: {metric} value {raw!r} is not a "
-                  f"number", file=err)
+                  f"number", file=sys.stderr)
             return EXIT_USAGE
         if transform != "none":
             if v <= 0.0:
                 skipped += 1
                 continue
             v = np.log10(v) if transform == "log10" else np.log(v)
-        print(f"{parts[t_idx]} {_fmt(v)}", file=out)
+        print(f"{parts[t_idx]} {_fmt(v)}")
         emitted += 1
     if skipped:
         print(f"skipped {skipped} rows (empty or non-positive under "
-              f"{transform})", file=err)
+              f"{transform})", file=sys.stderr)
     if emitted == 0:
-        print(f"no plottable values for metric {metric!r}", file=err)
+        print(f"no plottable values for metric {metric!r}",
+              file=sys.stderr)
         return EXIT_USAGE
     return EXIT_OK
 
@@ -593,11 +591,10 @@ def cmd_run(config_path):
     return code
 
 
-def cmd_verify(only, seed, out=None, err=None):
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
+def cmd_verify(only, seed):
     if seed < 0:
-        print(f"seed must be a non-negative integer, got {seed}", file=err)
+        print(f"seed must be a non-negative integer, got {seed}",
+              file=sys.stderr)
         return EXIT_USAGE
     names = None
     if only is not None:
@@ -606,24 +603,23 @@ def cmd_verify(only, seed, out=None, err=None):
             names.extend(n for n in item.split(",") if n)
         if not names:
             print(f"--only names no check; available: "
-                  f"{', '.join(CHECK_ORDER)}", file=err)
+                  f"{', '.join(CHECK_ORDER)}", file=sys.stderr)
             return EXIT_USAGE
         unknown = [n for n in names if n not in CHECK_ORDER]
         if unknown:
             print(f"unknown check(s) {', '.join(unknown)}; available: "
-                  f"{', '.join(CHECK_ORDER)}", file=err)
+                  f"{', '.join(CHECK_ORDER)}", file=sys.stderr)
             return EXIT_USAGE
-    print(f"desk-scale checks (seed {seed})", file=out)
+    print(f"desk-scale checks (seed {seed})")
     results = run_all(only=names, seed=seed)
     width = max(len(r.name) for r in results)
     for r in results:
         status = "pass" if r.passed else "FAIL"
-        print(f"{r.name:<{width}}  {status}  {r.claim}", file=out)
+        print(f"{r.name:<{width}}  {status}  {r.claim}")
         print(f"{'':<{width}}        measured {r.measured}; bound "
-              f"{r.bound}; {r.seconds:.2f}s", file=out)
+              f"{r.bound}; {r.seconds:.2f}s")
     failures = [r.name for r in results if not r.passed]
-    print(json.dumps({"checks": len(results), "failures": failures}),
-          file=out)
+    print(json.dumps({"checks": len(results), "failures": failures}))
     return EXIT_OK if not failures else EXIT_FAILED
 
 

@@ -19,7 +19,7 @@ never shifts another's draws.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,15 +57,14 @@ _IDENTITY = scaling_preset("identity", 1, 1)
 
 @dataclass(frozen=True)
 class RunStreams:
-    """Named RNG streams; see module docstring for isolation rationale."""
+    """Named RNG streams; see module docstring for isolation rationale.
+    The noise stream yields the keys of the stochastic batches (``_keys``)."""
 
     noise: np.random.Generator
     rademacher: np.random.Generator
     anchor: np.random.Generator
     precond_skip: np.random.Generator
     init: np.random.Generator
-    # noise keys drawn ahead, the next one last
-    keys: list = field(default_factory=list, repr=False)
 
     @staticmethod
     def from_seed(seed):
@@ -225,19 +224,13 @@ def theory_gate_failure(problem, config, gamma):
 # single steps: the readable reference that run's engine reproduces
 
 
-def _seed(streams):
-    """Key of the next stochastic batch.
+def _keys(streams, size=None):
+    """Key of the next stochastic batch, or a list of the next ``size``.
 
-    Keys are drawn STREAM_CHUNK at a time, which yields the same sequence
-    as one draw per key: numpy's 64-bit bounded draw keeps no state between
-    calls.
+    A block of keys equals as many single draws: numpy's 64-bit bounded
+    draw keeps no state between calls.
     """
-    keys = streams.keys
-    if not keys:
-        block = streams.noise.integers(2**63, size=STREAM_CHUNK).tolist()
-        block.reverse()
-        keys.extend(block)
-    return keys.pop()
+    return streams.noise.integers(2**63, size=size).tolist()
 
 
 def _pair(problem, vec):
@@ -258,13 +251,13 @@ def step_extragrad(problem, z, f_z, scaling, gamma, streams, batch=1):
     One scaling refresh per iteration from the extrapolation batch; the same
     clipped diagonal divides both half-steps.  Exactly two gradient calls.
     """
-    g_t = add_noise(problem, f_z, _seed(streams), batch)
+    g_t = add_noise(problem, f_z, _keys(streams), batch)
     scaling = advance(
         scaling, streams.precond_skip,
         lambda: curvature_for(scaling, problem, z, g_t, streams.rademacher))
     clipped = scaling.clipped
     z_half = _finite(z - gamma * (g_t / clipped))
-    g_half = gradient(problem, z_half, _seed(streams), batch)
+    g_half = gradient(problem, z_half, _keys(streams), batch)
     z_next = _finite(z - gamma * (g_half / clipped))
     return z_next, z_half, scaling
 
@@ -272,7 +265,7 @@ def step_extragrad(problem, z, f_z, scaling, gamma, streams, batch=1):
 def warm_start_single_call(problem, z0, streams, batch=1):
     """Gradient at z0; the first single-call iteration reuses it, with z0
     standing in for the previous half-step."""
-    return gradient(problem, z0, _seed(streams), batch)
+    return gradient(problem, z0, _keys(streams), batch)
 
 
 def step_single_call(problem, z, w, z_half_prev, g_prev, scaling, gamma, eta,
@@ -291,7 +284,7 @@ def step_single_call(problem, z, w, z_half_prev, g_prev, scaling, gamma, eta,
                               streams.rademacher))
     clipped = scaling.clipped
     z_half = _finite(z - gamma * (g_prev / clipped))
-    g_half = gradient(problem, z_half, _seed(streams), batch)
+    g_half = gradient(problem, z_half, _keys(streams), batch)
     if eta != 0.0:
         pull = (w - z) / clipped
         z_next = _finite(z + eta * pull - gamma * (g_half / clipped))
@@ -307,7 +300,7 @@ def step_single_call(problem, z, w, z_half_prev, g_prev, scaling, gamma, eta,
 def step_sgda(problem, z, f_z, scaling, gamma, streams, batch=1):
     """One scaled descent-ascent step from ``z`` with exact field ``f_z``
     (left as is); returns (z_next, scaling_next)."""
-    g_t = add_noise(problem, f_z, _seed(streams), batch)
+    g_t = add_noise(problem, f_z, _keys(streams), batch)
     scaling = advance(
         scaling, streams.precond_skip,
         lambda: curvature_for(scaling, problem, z, g_t, streams.rademacher))
@@ -336,14 +329,18 @@ def run(problem, config, on_records=None):
     performs the arithmetic of ``step_extragrad``, ``step_single_call`` and
     ``step_sgda`` in their order, so it reproduces them bit for bit.
 
+    Each stochastic-gradient call adds one to a count that every completed
+    step stores in its record's ``grad_calls``; ``Trajectory.grad_calls`` is
+    the count at the last completed step.
+
     Per step it takes the step itself, the radius and finite checks, one
     row of ``half_z``, the uniform sum and the EMA, and keeps z_t, F(z_t)
     and the clipped diagonal in rows of (rows, d) blocks.  Per block it
-    draws the noise of the next steps (``problems.noise_into``, keyed by
-    ``_seed``'s keys in order, never more rows than the run can still use)
-    and fills the (T, 7) record block (RECORD_FIELDS) from the three
-    blocks; a block is also flushed before every chunk and every returned
-    or attached trajectory.  The row count is min(STREAM_CHUNK, T,
+    draws the noise of the next steps (``problems.noise_into`` with one
+    block of ``_keys``, never more rows than the run can still use) and
+    fills the other columns of the (T, 7) record block (RECORD_FIELDS) from
+    the three blocks; a block is also flushed before every chunk and every
+    returned or attached trajectory.  The row count is min(STREAM_CHUNK, T,
     2**16 // d), so the four blocks hold at most 2 MB at d = 1000.  With
     ``trace_scaling`` each step also writes one row of a (T, d)
     clipped-diagonal block and of a fired column.
@@ -375,9 +372,6 @@ def run(problem, config, on_records=None):
     lam = config.ema_lambda
     d = dx + dy
     rows = max(1, min(STREAM_CHUNK, T, _BLOCK_ENTRIES // d))
-    # oracle calls per step, and the single-call warm start's one call
-    per_step = 2 if method == "extragrad" else 1
-    warm = 1 if method == "single-call-momentum" else 0
 
     # run-owned buffers; z_t is row j of zs and each step writes z_{t+1}
     # into row j + 1, so the iterates of a block need no copy
@@ -400,6 +394,7 @@ def run(problem, config, on_records=None):
     ema = np.empty(d)
     half_z = np.empty((T, d))
     record_block = np.empty((T, len(RECORD_FIELDS)))
+    call_col = record_block[:, 6]  # grad_calls, written as each step ends
     trace = config.trace_scaling
     if trace:
         trace_clipped = np.empty((T, d))
@@ -409,12 +404,14 @@ def run(problem, config, on_records=None):
         noise_rows = list(noise)
         # noise rows the run can use: two per extragrad step, one per other
         # step, and single-call's warm start
-        noise_left = per_step * T + warm
+        noise_left = ((2 * T if method == "extragrad" else T)
+                      + (method == "single-call-momentum"))
     drawn = used = 0  # rows of the noise block drawn and used
 
     n = 0         # steps taken, whose records are filled or pending
     j = 0         # pending steps: rows of the blocks not yet recorded
     emitted = 0
+    calls = 0     # stochastic-gradient calls made
     hvp_calls = 0
 
     def add_noise_into(f_x, out):
@@ -426,14 +423,15 @@ def run(problem, config, on_records=None):
         gradient makes ``curvature_for`` raise or the step taken with it
         non-finite (gamma > 0 and clipped >= e > 0), and both the half-step
         and the next iterate are checked."""
-        nonlocal drawn, used, noise_left
+        nonlocal calls, drawn, used, noise_left
+        calls += 1
         if not noisy:
             return f_x
         if used == drawn:
             drawn = min(rows, noise_left)
             noise_left -= drawn
-            problems.noise_into(problem, [_seed(streams) for _ in range(drawn)],
-                                batch, noise[:drawn])
+            problems.noise_into(problem, _keys(streams, drawn), batch,
+                                noise[:drawn])
             used = 0
         used += 1
         return np.add(noise_rows[used - 1], f_x, out=out)
@@ -452,8 +450,7 @@ def run(problem, config, on_records=None):
             return
         diff, c = zs[:j], cs[:j]
         rec = record_block[n - j:n]
-        ts = np.arange(n - j, n, dtype=np.float64)
-        rec[:, 0] = ts
+        rec[:, 0] = np.arange(n - j, n, dtype=np.float64)
         rec[:, 4] = np.minimum.reduce(c, axis=1)
         rec[:, 5] = np.maximum.reduce(c, axis=1)
         rec[:, 3] = np.vecdot(fs[:j], fs[:j])
@@ -461,7 +458,6 @@ def run(problem, config, on_records=None):
         rec[:, 2] = np.vecdot(diff, diff)
         np.multiply(c, diff, out=c)
         rec[:, 1] = np.vecdot(c, diff)
-        rec[:, 6] = (ts + 1) * per_step + warm
         np.copyto(z_rows[0], z_rows[j])
         j = 0
 
@@ -483,7 +479,7 @@ def run(problem, config, on_records=None):
             records=Records(record_block[:n]), half_z=half_z[:n],
             final_z=_pair(problem, z_rows[0]),
             final_avg_uniform=avg_u, final_avg_ema=avg_e,
-            grad_calls=per_step * n + warm, hvp_calls=hvp_calls,
+            grad_calls=grad_calls, hvp_calls=hvp_calls,
             config=config,
             scaling_trace=(ScalingTrace(trace_clipped[:n], trace_fired[:n], dx)
                            if trace else None))
@@ -496,6 +492,7 @@ def run(problem, config, on_records=None):
         if not np.isfinite(g_half).all():
             raise NonFiniteError("gradient entries must be finite")
 
+    grad_calls = calls  # calls through the last completed step
     for t in range(T):
         z, z_next, f = z_rows[j], z_rows[j + 1], f_rows[j]
         try:
@@ -546,6 +543,7 @@ def run(problem, config, on_records=None):
         np.copyto(c_rows[j], clipped)
 
         half_z[t] = half
+        grad_calls = call_col[t] = calls
         sum_half += half
         if t == 0:
             np.copyto(ema, half)

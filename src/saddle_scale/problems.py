@@ -150,18 +150,18 @@ class SaddleProblem:
     @staticmethod
     def bilinear_from_matrix(B):
         """Noise-free bilinear problem f(x, y) = x'By with L the top singular
-        value of B; z* = 0 when B is square and nonsingular.  Add noise with
+        value of B; z* = 0 when ``solve_exact`` finds B square and
+        nonsingular, else None.  Add noise with
         ``dataclasses.replace(p, sigma=s, noise_bound=b)``."""
         B = np.atleast_2d(np.asarray(B, dtype=np.float64))
-        s = np.linalg.svd(B, compute_uv=False)
-        L = float(s.max())
-        z_star = None
-        if B.shape[0] == B.shape[1] and s.min() > 1e-12 * max(1.0, s.max()):
-            z_star = PointPair(np.zeros(B.shape[0]), np.zeros(B.shape[1]))
-        return SaddleProblem(
-            kind="bilinear", d_x=B.shape[0], d_y=B.shape[1], mu=0.0, L=L,
-            B=B, z_star=z_star,
+        prob = SaddleProblem(
+            kind="bilinear", d_x=B.shape[0], d_y=B.shape[1], mu=0.0,
+            L=float(np.linalg.svd(B, compute_uv=False).max()), B=B,
         )
+        try:
+            return dataclasses.replace(prob, z_star=solve_exact(prob))
+        except NoUniqueSolutionError:
+            return prob
 
 
 def _default_bound(sigma, noise_bound):

@@ -16,7 +16,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import DivergenceError, InvalidParameterError
 from .metrics import (
     check_scalar_inequality,
     contraction_check,
@@ -80,7 +80,12 @@ def run_check(name, seed=42):
             f"unknown check {name!r}; available: {', '.join(CHECK_ORDER)}")
     claim, fn = _CHECKS[name]
     t0 = perf_counter()
-    passed, measured, bound = fn(seed)
+    try:
+        passed, measured, bound = fn(seed)
+    except DivergenceError as exc:
+        # a diverged run fails its check, and the slate goes on
+        passed, measured = False, f"DivergenceError: {exc}"
+        bound = "no divergence"
     return CheckResult(name=name, claim=claim, passed=bool(passed),
                        measured=measured, bound=bound,
                        seconds=perf_counter() - t0)

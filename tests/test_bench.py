@@ -305,46 +305,41 @@ def run_csv(tmp_path):
     return str(tmp_path / "out" / "suite" / "cell_0_0_0.csv")
 
 
-def test_plotdata_emits_t_value_pairs(run_csv):
-    out = io.StringIO()
-    assert bench.cmd_plotdata(run_csv, "dist2", out=out) == 0
-    lines = out.getvalue().splitlines()
+def test_plotdata_emits_t_value_pairs(run_csv, capsys):
+    assert bench.cmd_plotdata(run_csv, "dist2") == 0
+    lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 100
     t, v = lines[0].split()
     assert t == "0"
     assert float(v) > 0
 
 
-def test_plotdata_stride(run_csv):
-    out = io.StringIO()
-    assert bench.cmd_plotdata(run_csv, "dist2", stride=10, out=out) == 0
-    lines = out.getvalue().splitlines()
+def test_plotdata_stride(run_csv, capsys):
+    assert bench.cmd_plotdata(run_csv, "dist2", stride=10) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 10
     assert [int(l.split()[0]) for l in lines] == list(range(0, 100, 10))
 
 
-def test_plotdata_log10_transform(run_csv):
-    raw, logged = io.StringIO(), io.StringIO()
-    assert bench.cmd_plotdata(run_csv, "dist2", out=raw) == 0
-    assert bench.cmd_plotdata(run_csv, "dist2", transform="log10",
-                              out=logged) == 0
-    v0 = float(raw.getvalue().splitlines()[0].split()[1])
-    l0 = float(logged.getvalue().splitlines()[0].split()[1])
+def test_plotdata_log10_transform(run_csv, capsys):
+    assert bench.cmd_plotdata(run_csv, "dist2") == 0
+    raw = capsys.readouterr().out
+    assert bench.cmd_plotdata(run_csv, "dist2", transform="log10") == 0
+    logged = capsys.readouterr().out
+    v0 = float(raw.splitlines()[0].split()[1])
+    l0 = float(logged.splitlines()[0].split()[1])
     assert l0 == pytest.approx(np.log10(v0), rel=1e-15)
 
 
-def test_plotdata_unknown_metric_lists_columns(run_csv):
-    err = io.StringIO()
-    assert bench.cmd_plotdata(run_csv, "loss", err=err) == 2
-    msg = err.getvalue()
+def test_plotdata_unknown_metric_lists_columns(run_csv, capsys):
+    assert bench.cmd_plotdata(run_csv, "loss") == 2
+    msg = capsys.readouterr().err
     assert "dist2" in msg and "grad_norm2" in msg and "dhat_min" in msg
 
 
-def test_plotdata_empty_gap_column_fails(run_csv, tmp_path):
-    err = io.StringIO()
-    assert bench.cmd_plotdata(run_csv, "gap", out=io.StringIO(),
-                              err=err) == 2
-    assert "gap" in err.getvalue()
+def test_plotdata_empty_gap_column_fails(run_csv, tmp_path, capsys):
+    assert bench.cmd_plotdata(run_csv, "gap") == 2
+    assert "gap" in capsys.readouterr().err
     with open(run_csv, encoding="utf-8") as fh:
         header, row = fh.readline().rstrip("\n"), fh.readline().rstrip("\n")
     fields = row.split(",")
@@ -358,15 +353,12 @@ def test_plotdata_empty_gap_column_fails(run_csv, tmp_path):
     for name, (lines, expected) in malformed.items():
         path = tmp_path / f"{name}.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        err = io.StringIO()
-        assert bench.cmd_plotdata(str(path), "dist2", out=io.StringIO(),
-                                  err=err) == 2, name
-        assert expected in err.getvalue(), name
+        assert bench.cmd_plotdata(str(path), "dist2") == 2, name
+        assert expected in capsys.readouterr().err, name
 
 
 def test_plotdata_bad_stride(run_csv):
-    assert bench.cmd_plotdata(run_csv, "dist2", stride=0,
-                              err=io.StringIO()) == 2
+    assert bench.cmd_plotdata(run_csv, "dist2", stride=0) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -529,11 +521,9 @@ def test_each_problem_built_once_per_suite(tmp_path, monkeypatch):
     assert seeds == [1, 2]
 
 
-def test_verify_unknown_name_exits_two():
-    err = io.StringIO()
-    assert bench.cmd_verify(["no-such-check"], 42, out=io.StringIO(),
-                            err=err) == 2
-    assert "no-such-check" in err.getvalue()
+def test_verify_unknown_name_exits_two(capsys):
+    assert bench.cmd_verify(["no-such-check"], 42) == 2
+    assert "no-such-check" in capsys.readouterr().err
     for argv, expected in ((["verify", "--only", ","], "--only"),
                            (["verify", "--seed", "-1"], "seed")):
         code, out, err = run_main(argv)
@@ -542,10 +532,9 @@ def test_verify_unknown_name_exits_two():
 
 
 def test_verify_single_check_table(capsys):
-    out = io.StringIO()
-    code = bench.cmd_verify(["scalar-inequality"], 42, out=out)
+    code = bench.cmd_verify(["scalar-inequality"], 42)
     assert code == 0
-    text = out.getvalue()
+    text = capsys.readouterr().out
     assert "scalar-inequality" in text
     assert "pass" in text
     tail = json.loads(text.strip().splitlines()[-1])

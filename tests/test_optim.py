@@ -474,7 +474,7 @@ def test_engine_matches_single_steps_with_short_blocks(method):
 def test_run_draws_only_the_noise_it_uses(monkeypatch, method, T, blocks):
     # noise blocks of at most min(STREAM_CHUNK, T) rows at d = 5, and no
     # row past the 2T (extragrad), T (sgda) or T + 1 (single-call) the
-    # run can use
+    # run can use; each counted call takes one row
     drawn = []
     noise_into = problems.noise_into
 
@@ -484,8 +484,41 @@ def test_run_draws_only_the_noise_it_uses(monkeypatch, method, T, blocks):
 
     monkeypatch.setattr(problems, "noise_into", counted)
     p = make_quadratic(3, 2, mu=0.5, L=2.0, seed=5, sigma=0.3)
-    run(p, OptimizerConfig(method=method, T=T, seed=1, gamma=1e-3))
+    traj = run(p, OptimizerConfig(method=method, T=T, seed=1, gamma=1e-3))
     assert drawn == blocks
+    assert traj.grad_calls == sum(blocks)
+
+
+@pytest.mark.parametrize("method, field_calls, per_step", [
+    ("extragrad", 2, 2), ("single-call-momentum", 2, 1), ("sgda", 1, 1)])
+def test_a_step_that_fails_midway_adds_no_calls(monkeypatch, method,
+                                                field_calls, per_step):
+    # the last field evaluation of step k turns non-finite after that
+    # step's gradient calls; only the k completed steps' calls count
+    k = 5
+    warm = int(method == "single-call-momentum")
+    poisoned = warm + field_calls * (k + 1)
+    seen = 0
+    real = optim.field_into
+
+    def field_into(p, z, out):
+        nonlocal seen
+        seen += 1
+        real(p, z, out)
+        if seen == poisoned:
+            out[:] = np.inf
+        return out
+
+    monkeypatch.setattr(optim, "field_into", field_into)
+    p = make_quadratic(3, 2, mu=0.5, L=2.0, seed=5, sigma=0.3)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DivergenceError) as info:
+        run(p, OptimizerConfig(method=method, T=10, seed=1, gamma=1e-3))
+    assert str(info.value) == f"iterate turned non-finite at iteration {k}"
+    traj = info.value.trajectory
+    want = [per_step * (t + 1) + warm for t in range(k)]
+    assert traj.records.grad_calls.tolist() == want
+    assert traj.grad_calls == want[-1]
 
 
 def test_divergence_mid_block_keeps_an_exact_record_prefix():

@@ -449,6 +449,17 @@ def test_dot_into_out_equals_dot(m, n):
     assert np.array_equal(o, np.dot(A, x))
 
 
+@pytest.mark.parametrize("sizes", [[1], [7], [1000], [1000, 1, 536, 1000]])
+def test_key_blocks_equal_single_key_draws(sizes):
+    # run draws its noise keys a block at a time and the reference steps
+    # one per call; both must yield one sequence
+    singles = np.random.default_rng(9)
+    blocks = np.random.default_rng(9)
+    want = [singles.integers(2**63) for _ in range(sum(sizes))]
+    got = np.concatenate([blocks.integers(2**63, size=m) for m in sizes])
+    assert got.tolist() == want
+
+
 @pytest.mark.parametrize("d", [10, 500])
 def test_field_into_equals_the_field_expression(d):
     # field_into sums its blocks in place; that must round exactly like
@@ -489,6 +500,20 @@ def test_solve_exact_singular_bilinear():
     p = SaddleProblem.bilinear_from_matrix(B)
     with pytest.raises(NoUniqueSolutionError):
         solve_exact(p)
+
+
+@pytest.mark.parametrize("B, solvable", [
+    ([[1.0, 0.0], [0.0, 0.0]], False),
+    ([[1.0, 2.0, 3.0], [0.5, 0.0, 1.0]], False),
+    ([[2.0, 1.0], [0.0, 3.0]], True),
+])
+def test_bilinear_from_matrix_has_z_star_only_when_solvable(B, solvable):
+    p = SaddleProblem.bilinear_from_matrix(np.array(B))
+    if not solvable:
+        assert p.z_star is None
+        return
+    np.testing.assert_array_equal(p.z_star.as_vector(), np.zeros(4))
+    assert p.L == pytest.approx(np.linalg.norm(B, 2), rel=1e-15)
 
 
 def test_solve_exact_unsupported_kind():

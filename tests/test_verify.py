@@ -1,4 +1,5 @@
-"""The column audits behind verify's ``scaling-range`` and ``scaling-growth``.
+"""The column audits behind verify's ``scaling-range`` and ``scaling-growth``,
+and a check whose run diverges.
 
 Short traced runs stand in for the checks' cached 1e4-step runs, and one
 violation at a time is planted into a copy of a run's records (the range
@@ -7,15 +8,16 @@ audit reads the clipped diagonals).  Each audit must count exactly that one.
 """
 
 import dataclasses
+import json
 import re
 
 import pytest
 
-from saddle_scale import verify
+from saddle_scale import bench, verify
 from saddle_scale.metrics import RECORD_FIELDS, Records
 from saddle_scale.optim import OptimizerConfig, ScalingTrace, run
 from saddle_scale.precond import beta_t, growth_constant, scaling_preset
-from saddle_scale.problems import make_quadratic
+from saddle_scale.problems import SaddleProblem, make_bilinear, make_quadratic
 
 SEED = 5
 T = 300
@@ -120,3 +122,44 @@ def test_growth_counts_a_skipped_step_that_grows(cached_runs):
     grown = traj.scaling_trace.clipped[k - 1, 2] * 1.001
     cached_runs[SKIP_KEY] = planted(cached_runs[SKIP_KEY], k, 2, grown)
     assert violations("scaling-growth") == 1
+
+
+# ---------------------------------------------------------------------------
+# a check whose run diverges
+
+
+@pytest.fixture()
+def diverging_rate_check(monkeypatch):
+    """``monotone-average-rate`` on a game 1000x steeper than its stated L,
+    so its step overshoots by that factor and extragrad diverges within a
+    few iterations, as it did with the extrapolation's division by D-hat
+    left out."""
+    def steep_bilinear(d, L, seed):
+        p = make_bilinear(d, L=L, seed=seed)
+        steep = SaddleProblem.bilinear_from_matrix(1e3 * p.B)
+        return dataclasses.replace(steep, L=p.L)
+
+    monkeypatch.setattr(verify, "make_bilinear", steep_bilinear)
+
+
+NAMES = ["divergence-split", "monotone-average-rate", "scalar-inequality"]
+
+
+def test_a_diverging_check_fails_and_the_slate_goes_on(diverging_rate_check):
+    results = verify.run_all(only=NAMES, seed=42)
+    assert [r.name for r in results] == NAMES
+    assert [r.passed for r in results] == [True, False, True]
+    measured = results[1].measured
+    assert re.fullmatch(r"DivergenceError: iterate norm passed 1e\+12 at "
+                        r"iteration \d+", measured), measured
+
+
+def test_verify_prints_the_diverged_row_and_exits_one(diverging_rate_check,
+                                                      capsys):
+    assert bench.cmd_verify([",".join(NAMES)], 42) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 + 2 * len(NAMES)
+    assert lines[3].startswith("monotone-average-rate  FAIL")
+    assert "measured DivergenceError: iterate norm passed" in lines[4]
+    assert json.loads(lines[-1]) == {"checks": 3,
+                                     "failures": ["monotone-average-rate"]}
