@@ -20,7 +20,7 @@ from .errors import (
     InvalidParameterError,
     PreconditionError,
 )
-from .precond import beta_t, gamma_bound, growth_constant
+from .precond import beta_series, gamma_bound, growth_constant
 
 FIT_FLOOR = 1e-300
 
@@ -228,8 +228,7 @@ def contraction_check(traj, problem, config):
         return ContractionReport(True, 0, None, math.nan, math.nan)
     r2 = records.r2_weighted
     tol = 1e-10 * r2[0]
-    b_next = np.array([beta_t(scaling.schedule, scaling.beta, k + 1)
-                       for k in range(n - 1)])
+    b_next = beta_series(scaling.schedule, scaling.beta, 1, n)
     factors = (1.0 - gamma * problem.mu / cap) + (1.0 - b_next) * growth_c
     lhs = r2[1:]
     rhs = factors * r2[:-1] + tol

@@ -36,9 +36,11 @@ from .metrics import RECORD_FIELDS, Records, weighted_dist_sq  # noqa: F401
 from .precond import (
     ScalingState,
     advance,
+    advance_block,
+    clip_into,
     curvature_for,
-    ema_clip_into,
-    fires,
+    ema_into,
+    fire_column,
     scaling_preset,
 )
 from .problems import PointPair, _all_finite, add_noise, field_into, gradient
@@ -324,26 +326,41 @@ def run(problem, config, on_records=None):
     iterate norm passes DIVERGENCE_RADIUS or turns non-finite.
 
     The loop is an in-place engine: the iterate, the half-step, the
-    gradients, the running averages and the scaling's raw and clipped
-    diagonals live in run-owned buffers updated with ``out=`` ufuncs.  It
-    performs the arithmetic of ``step_extragrad``, ``step_single_call`` and
-    ``step_sgda`` in their order, so it reproduces them bit for bit.
+    gradients and the scaling's raw and clipped diagonals live in run-owned
+    buffers updated with ``out=`` ufuncs.  It performs the arithmetic of
+    ``step_extragrad``, ``step_single_call`` and ``step_sgda`` in their
+    order, so it reproduces them bit for bit.
 
     Each stochastic-gradient call adds one to a count that every completed
     step stores in its record's ``grad_calls``; ``Trajectory.grad_calls`` is
     the count at the last completed step.
 
-    Per step it takes the step itself, the radius and finite checks, one
-    row of ``half_z``, the uniform sum and the EMA, and keeps z_t, F(z_t)
-    and the clipped diagonal in rows of (rows, d) blocks.  Per block it
-    draws the noise of the next steps (``problems.noise_into`` with one
-    block of ``_keys``, never more rows than the run can still use) and
-    fills the other columns of the (T, 7) record block (RECORD_FIELDS) from
-    the three blocks; a block is also flushed before every chunk and every
-    returned or attached trajectory.  The row count is min(STREAM_CHUNK, T,
-    2**16 // d), so the four blocks hold at most 2 MB at d = 1000.  With
-    ``trace_scaling`` each step also writes one row of a (T, d)
-    clipped-diagonal block and of a fired column.
+    Each step is split into the work that reads the iterate and the work
+    that does not.  Per step the run takes the field, the gradients, the
+    step itself and the radius and finite checks, and keeps z_t, F(z_t),
+    the clipped diagonal and the half-step in rows of (rows, d) blocks
+    (the half-steps in a (rows + 1, d) block whose row 0 carries the
+    previous one).  The scaling's curvature reads the iterate only for
+    grad-square with beta < 1 and for Hutchinson on minty; those refresh it
+    per fired step.
+
+    Per block of steps the run draws the scaling's fire column
+    (``precond.fire_column``) and, when the curvature reads no iterate,
+    moves the scaling over the whole block (``precond.advance_block``),
+    writing the clipped diagonals straight into their block.  It also draws
+    the noise of the next steps (``problems.noise_into`` with one block of
+    ``_keys``).  Neither draws past what the run can use (T schedule rows;
+    2T, T or T + 1 noise rows); a run that asks for more raises
+    RuntimeError.  ``flush`` then fills the pending rows of the (T, 7)
+    record block (RECORD_FIELDS), of ``half_z`` and, with
+    ``trace_scaling``, of the (T, d) clipped-diagonal trace and its fired
+    column, and advances the uniform sum (``np.add.accumulate`` from the
+    carried sum) and the EMA of the half-steps.  A block is flushed when
+    full, before every chunk and before every returned or attached
+    trajectory; schedule rows drawn past a flush move to the block's front.
+    The row count is min(STREAM_CHUNK, T, 2**16 // d), so a block holds at
+    most 2**16 entries (512 KB): at d = 1000 the five blocks hold 2.6 MB,
+    and a block of Hutchinson probes takes two more while it is drawn.
     """
     gamma = resolve_gamma(problem, config)
     if config.theory_safe:
@@ -368,28 +385,36 @@ def run(problem, config, on_records=None):
     anchor_prob = config.anchor_prob
     noisy = problem.sigma > 0.0
     hutchinson = scaling.source == "hutchinson"
+    # grad-square reads the gradient at the iterate, and Hutchinson the
+    # Hessian there, which only minty's varies; beta = 1 never fires
+    per_step = scaling.beta != 1.0 and (
+        not hutchinson or problem.kind == "minty-example")
     skip_rng, rademacher = streams.precond_skip, streams.rademacher
     lam = config.ema_lambda
     d = dx + dy
     rows = max(1, min(STREAM_CHUNK, T, _BLOCK_ENTRIES // d))
 
-    # run-owned buffers; z_t is row j of zs and each step writes z_{t+1}
-    # into row j + 1, so the iterates of a block need no copy
+    # run-owned blocks; z_t is row j of zs and each step writes z_{t+1} into
+    # row j + 1, so the iterates of a block need no copy; the half-steps
+    # follow the same rule in hs, whose row 0 is the previous half-step
     zs = np.empty((rows + 1, d))
+    hs = np.empty((rows + 1, d))
     fs = np.empty((rows, d))  # exact fields F(z_t)
     cs = np.empty((rows, d))  # clipped diagonals of the steps out of z_t
-    z_rows, f_rows, c_rows = list(zs), list(fs), list(cs)
-    np.copyto(z_rows[0], z0.as_vector())
-    z_half = z0.as_vector().copy()  # single-call's previous half-step
-    w = z_half.copy()                # single-call's anchor
+    fc = np.empty(rows, dtype=bool)  # whether those steps' updates fired
+    z_rows, h_rows, f_rows, c_rows = list(zs), list(hs), list(fs), list(cs)
+    zs[0] = z0.as_vector()
+    hs[0] = zs[0]  # single-call's first previous half-step is z_0
+    w = zs[0].copy()  # single-call's anchor
     g = np.empty(d)           # stochastic gradient at z_t
     # stochastic gradient at the half-step; single-call carries it into the
     # next iteration, which reads it before overwriting it
     g_half = np.empty(d)
     step = np.empty(d)
     pull = np.empty(d)
+    last_half = np.empty(d)
     raw = scaling.raw.copy()
-    clipped = scaling.clipped.copy()
+    clipped = scaling.clipped.copy()  # the per-step refresh's diagonal
     sum_half = np.zeros(d)
     ema = np.empty(d)
     half_z = np.empty((T, d))
@@ -407,6 +432,9 @@ def run(problem, config, on_records=None):
         noise_left = ((2 * T if method == "extragrad" else T)
                       + (method == "single-call-momentum"))
     drawn = used = 0  # rows of the noise block drawn and used
+    schedule_left = T  # schedule rows the run can use, one per step
+    ready = 0     # rows of fc (and, without per_step, of cs) drawn
+    bad = T       # step whose curvature is not finite, if any
 
     n = 0         # steps taken, whose records are filled or pending
     j = 0         # pending steps: rows of the blocks not yet recorded
@@ -428,6 +456,10 @@ def run(problem, config, on_records=None):
         if not noisy:
             return f_x
         if used == drawn:
+            if noise_left == 0:
+                raise RuntimeError(
+                    f"stochastic-gradient call {calls} is past the run's "
+                    f"noise budget")
             drawn = min(rows, noise_left)
             noise_left -= drawn
             problems.noise_into(problem, _keys(streams, drawn), batch,
@@ -436,21 +468,46 @@ def run(problem, config, on_records=None):
         used += 1
         return np.add(noise_rows[used - 1], f_x, out=out)
 
-    def step_into(x, grad, out):
+    def draw_schedule(t):
+        """Draw the fire column of the steps from t to the block's end and,
+        when the curvature reads no iterate, their clipped diagonals."""
+        nonlocal ready, schedule_left, bad
+        m = min(rows - j, schedule_left)
+        if m == 0:
+            raise RuntimeError(
+                f"step {t} is past the run's scaling schedule budget")
+        schedule_left -= m
+        col = fc[j:j + m]
+        col[:] = fire_column(scaling, t, m, skip_rng)
+        if not per_step:
+            done = advance_block(scaling, problem, t, col, rademacher, raw,
+                                 cs[j:j + m])
+            if done < m:
+                bad = t + done
+        ready = j + m
+
+    def step_into(x, grad, clipped, out):
         """out <- x - gamma * (grad / clipped)"""
         np.divide(grad, clipped, out=step)
         np.multiply(step, gamma, out=step)
         return np.subtract(x, step, out=out)
 
     def flush():
-        """Fill the records of the pending steps from the blocks, then move
-        the current iterate to row 0."""
-        nonlocal j
+        """Fill the records, half-steps and trace of the pending steps from
+        the blocks, advance the averages, then move the current iterate and
+        half-step to row 0."""
+        nonlocal j, ready, hvp_calls
         if j == 0:
             return
-        diff, c = zs[:j], cs[:j]
-        rec = record_block[n - j:n]
-        rec[:, 0] = np.arange(n - j, n, dtype=np.float64)
+        start = n - j
+        diff, c, fired = zs[:j], cs[:j], fc[:j]
+        if hutchinson:
+            hvp_calls += int(np.count_nonzero(fired))
+        if trace:
+            trace_fired[start:n] = fired
+            trace_clipped[start:n] = c
+        rec = record_block[start:n]
+        rec[:, 0] = np.arange(start, n, dtype=np.float64)
         rec[:, 4] = np.minimum.reduce(c, axis=1)
         rec[:, 5] = np.maximum.reduce(c, axis=1)
         rec[:, 3] = np.vecdot(fs[:j], fs[:j])
@@ -458,7 +515,31 @@ def run(problem, config, on_records=None):
         rec[:, 2] = np.vecdot(diff, diff)
         np.multiply(c, diff, out=c)
         rec[:, 1] = np.vecdot(c, diff)
-        np.copyto(z_rows[0], z_rows[j])
+        zs[0] = zs[j]
+
+        halves = hs[1:j + 1]
+        half_z[start:n] = halves
+        # the EMA of the half-steps, its (1 - lam) terms taken in fs
+        first = 0
+        if start == 0:
+            ema[:] = halves[0]
+            first = 1
+        fresh = np.multiply(halves[first:], 1 - lam, out=fs[:j - first])
+        for row in fresh:
+            np.multiply(ema, lam, out=ema)
+            np.add(ema, row, out=ema)
+        # the uniform sum: a running sum from the carried one in row 0
+        last_half[:] = hs[j]
+        hs[0] = sum_half
+        np.add.accumulate(hs[:j + 1], axis=0, out=hs[:j + 1])
+        sum_half[:] = hs[j]
+        hs[0] = last_half
+
+        # schedule rows drawn past the pending steps
+        if ready > j:
+            cs[:ready - j] = cs[j:ready]
+            fc[:ready - j] = fc[j:ready]
+        ready -= j
         j = 0
 
     def emit():
@@ -494,7 +575,11 @@ def run(problem, config, on_records=None):
 
     grad_calls = calls  # calls through the last completed step
     for t in range(T):
+        if j == ready:
+            draw_schedule(t)
         z, z_next, f = z_rows[j], z_rows[j + 1], f_rows[j]
+        # single-call's previous half-step, and this step's
+        z_half, half = h_rows[j], h_rows[j + 1]
         try:
             # F(z_t) serves the record's grad_norm2 and, for extragrad and
             # sgda, the first gradient of the step
@@ -503,28 +588,33 @@ def run(problem, config, on_records=None):
                 at, g_t = z_half, g_half
             else:
                 at, g_t = z, add_noise_into(f, g)
-            fired = fires(scaling, t, skip_rng)
-            if fired:
+            if not per_step:
+                if t == bad:
+                    raise NonFiniteError("curvature entries must be finite")
+                clipped = c_rows[j]
+            elif fc[j]:
                 h = curvature_for(scaling, problem, at, g_t, rademacher)
-                ema_clip_into(scaling, t, h, raw, clipped)
+                ema_into(scaling, t, raw, h, raw)
+                clip_into(scaling, raw, clipped)
             if method == "sgda":
-                half = step_into(z, g_t, z_next)
+                step_into(z, g_t, clipped, z_next)
+                half[:] = z_next
             else:
-                half = step_into(z, g_t, z_half)
-                if not _all_finite(z_half):
+                step_into(z, g_t, clipped, half)
+                if not _all_finite(half):
                     raise NonFiniteError("iterate entries must be finite")
-                field_into(problem, z_half, g_half)
+                field_into(problem, half, g_half)
                 g_h = add_noise_into(g_half, g_half)
                 if eta != 0.0 and method == "single-call-momentum":
                     np.subtract(w, z, out=pull)
                     np.divide(pull, clipped, out=pull)
                     np.multiply(pull, eta, out=pull)
                     np.add(z, pull, out=z_next)
-                    step_into(z_next, g_h, z_next)
+                    step_into(z_next, g_h, clipped, z_next)
                 else:
-                    step_into(z, g_h, z_next)
+                    step_into(z, g_h, clipped, z_next)
             # one dot serves the finite check here and the radius check below
-            norm2 = float(np.dot(z_next, z_next))
+            norm2 = float(z_next.dot(z_next))
             if not math.isfinite(norm2) and not np.isfinite(z_next).all():
                 raise NonFiniteError("iterate entries must be finite")
         except (NonFiniteError, FloatingPointError) as exc:
@@ -534,23 +624,10 @@ def run(problem, config, on_records=None):
                 trajectory=snapshot(), t=n) from exc
         if method == "single-call-momentum" and (
                 anchor_prob >= 1.0 or streams.anchor.random() < anchor_prob):
-            np.copyto(w, z)
-        if fired and hutchinson:
-            hvp_calls += 1
-        if trace:
-            trace_fired[t] = fired
-            trace_clipped[t] = clipped
-        np.copyto(c_rows[j], clipped)
-
-        half_z[t] = half
+            w[:] = z
+        if per_step:
+            c_rows[j][:] = clipped
         grad_calls = call_col[t] = calls
-        sum_half += half
-        if t == 0:
-            np.copyto(ema, half)
-        else:
-            np.multiply(ema, lam, out=ema)
-            np.multiply(half, 1 - lam, out=step)
-            ema += step
 
         n = t + 1
         j += 1

@@ -12,9 +12,15 @@ Bernoulli draw per call) or deterministically every k-th call.  Curvature
 comes either from gradient squares or from a Rademacher diagonal estimate
 v * (Hessian @ v).
 
-``advance`` moves an immutable ``ScalingState`` by one call; the run engine
-applies the same two halves, ``fires`` and ``ema_clip_into``, to its own
-buffers.
+``advance`` moves an immutable ``ScalingState`` by one call through three
+parts: ``fires`` (the one-row case of ``fire_column``), the EMA step
+``ema_into`` and the clip ``clip_into``.  The run engine applies the same
+parts to its own buffers.  It draws each block of steps' fire column at
+once, and where the curvature reads no iterate (Hutchinson probes on a
+quadratic or bilinear problem, whose Hessian is constant, or a beta = 1
+scaling, which never fires) it moves the scaling over the whole block with
+``advance_block``: one block of probes, one block of Hessian products, one
+EMA step per fired row and one clip over the block.
 """
 
 import dataclasses
@@ -143,8 +149,7 @@ def scaling_preset(name, d_x, d_y, update_prob=1.0, update_every_k=None):
 # beta schedule
 
 
-def beta_t(schedule, beta, t):
-    """Effective averaging weight for update number t (0-based)."""
+def _check_beta(schedule, beta, t):
     if schedule not in SCHEDULES:
         raise InvalidParameterError(f"unknown schedule {schedule!r}")
     if not 0.0 <= beta <= 1.0:
@@ -153,8 +158,21 @@ def beta_t(schedule, beta, t):
         raise InvalidParameterError("t must be non-negative")
     if schedule == "adam-debias" and beta == 1.0:
         warnings.warn("adam-debias with beta = 1 is degenerate; using 1",
-                      RuntimeWarning, stacklevel=2)
+                      RuntimeWarning, stacklevel=3)
+
+
+def beta_t(schedule, beta, t):
+    """Effective averaging weight for update number t (0-based)."""
+    _check_beta(schedule, beta, t)
     return _beta_at(schedule, beta, t)
+
+
+def beta_series(schedule, beta, start, stop):
+    """``beta_t`` for update numbers start, ..., stop - 1 as a float64
+    array, validated once rather than once per entry."""
+    _check_beta(schedule, beta, start)
+    return np.array([_beta_at(schedule, beta, t) for t in range(start, stop)],
+                    dtype=np.float64)
 
 
 def _beta_at(schedule, beta, t):
@@ -170,29 +188,48 @@ def _beta_at(schedule, beta, t):
 # curvature sources
 
 
-def hutchinson_probe(p, z, v):
-    """Diagonal probe v * (H v) at the concatenated iterate ``z`` for a
-    given sign vector ``v`` over both blocks."""
-    out = np.empty(v.shape[0])
+def _signs(rng_stream, shape):
+    """Rademacher signs of the given shape.
+
+    They come from thresholding uniforms u (exactly fair on the 53-bit
+    grid), which is measurably cheaper per draw than a bounded-integer
+    call on this hot path.  v = copysign(1, u - 1/2) equals
+    where(u < 1/2, -1, 1): u - 1/2 is exact on that grid, negative exactly
+    when u < 1/2, and +0 at u = 1/2.  A (k, d) block equals k draws of d.
+    """
+    v = rng_stream.random(shape)
+    np.subtract(v, 0.5, out=v)
+    np.copysign(1.0, v, out=v)
+    return v
+
+
+def _probe_into(p, z, v, out):
+    """out <- v * (H v) at ``z``, for a vector or a block of sign rows."""
     P.hvp_into(p, z, v, out)
     out *= v
     return out
 
 
+def hutchinson_probe(p, z, v):
+    """Diagonal probe v * (H v) at the concatenated iterate ``z`` for a
+    given sign vector ``v`` over both blocks."""
+    return _probe_into(p, z, v, np.empty(v.shape[0]))
+
+
 def curvature_hutchinson(p, z, rng_stream):
     """Rademacher diagonal estimate: draw v with i.i.d. +-1 entries from
-    rng_stream, return v * (H v) (unbiased for the diagonal).
+    rng_stream, return v * (H v) (unbiased for the diagonal)."""
+    return hutchinson_probe(p, z, _signs(rng_stream, p.d_x + p.d_y))
 
-    The signs come from thresholding uniforms u (exactly fair on the 53-bit
-    grid), which is measurably cheaper per draw than a bounded-integer
-    call on this hot path.  v = copysign(1, u - 1/2) equals
-    where(u < 1/2, -1, 1): u - 1/2 is exact on that grid, negative exactly
-    when u < 1/2, and +0 at u = 1/2.
-    """
-    v = rng_stream.random(p.d_x + p.d_y)
-    np.subtract(v, 0.5, out=v)
-    np.copysign(1.0, v, out=v)
-    return hutchinson_probe(p, z, v)
+
+def _hutchinson_into(state, p, z, rng_stream, out):
+    """Hutchinson curvature in the representation ``state.rule`` expects,
+    written into ``out``: one probe at ``z``, or one probe per row of a
+    block (for a problem whose Hessian does not depend on ``z``)."""
+    _probe_into(p, z, _signs(rng_stream, out.shape), out)
+    if state.rule == "squared-ema":
+        np.multiply(out, out, out=out)
+    return out
 
 
 def curvature_for(state, problem, z, g, rademacher_rng):
@@ -210,9 +247,8 @@ def curvature_for(state, problem, z, g, rademacher_rng):
         if state.rule != "squared-ema":
             np.sqrt(h, out=h)
     else:
-        h = curvature_hutchinson(problem, z, rademacher_rng)
-        if state.rule == "squared-ema":
-            np.multiply(h, h, out=h)
+        h = _hutchinson_into(state, problem, z, rademacher_rng,
+                             np.empty(problem.d_x + problem.d_y))
     if not P._all_finite(h):
         raise NonFiniteError("curvature entries must be finite")
     return h
@@ -222,40 +258,93 @@ def curvature_for(state, problem, z, g, rademacher_rng):
 # the update itself
 
 
-def fires(state, t, rng_stream):
-    """Whether update call number ``t`` (0-based) of a scaling with
-    ``state``'s hyperparameters fires: every ``update_every_k``-th call, or
-    with probability ``update_prob`` (one Bernoulli draw from
-    ``rng_stream``; p = 1 draws nothing).  A beta = 1 scaling still makes
-    the draw but never fires, as ``advance`` explains."""
+def fire_column(state, t, m, rng_stream):
+    """Whether update calls t, ..., t + m - 1 (0-based) of a scaling with
+    ``state``'s hyperparameters fire, as an (m,) bool column: every
+    ``update_every_k``-th call, or each with probability ``update_prob``
+    (one block of m uniforms from ``rng_stream``, which equals m single
+    draws; p = 1 draws nothing).  A beta = 1 scaling still makes the draws
+    but never fires, as ``advance`` explains."""
     if state.update_every_k is not None:
-        fire = t % state.update_every_k == 0
+        col = np.arange(t, t + m) % state.update_every_k == 0
     elif state.update_prob < 1.0:
-        fire = bool(rng_stream.random() < state.update_prob)
+        col = rng_stream.random(m) < state.update_prob
     else:
-        fire = True
-    return fire and state.beta != 1.0
+        col = np.ones(m, dtype=bool)
+    if state.beta == 1.0:
+        col[:] = False
+    return col
 
 
-def ema_clip_into(state, t, h, raw, clipped):
-    """Fire update call number ``t`` of a scaling with ``state``'s
-    hyperparameters, in place: ``raw <- b raw + (1 - b) h`` with
-    b = beta_t(schedule, beta, t), then ``clipped <- max(e, D)`` (or
-    ``D + e``) with D = sqrt(raw) for squared-ema and |raw| for
-    additive-ema.  ``h`` is left as is.
-    """
+def fires(state, t, rng_stream):
+    """Whether update call number ``t`` fires: ``fire_column``'s one row."""
+    return bool(fire_column(state, t, 1, rng_stream)[0])
+
+
+def ema_into(state, t, raw, h, out):
+    """EMA step of update call number ``t``: out <- b raw + (1 - b) h with
+    b = beta_t(schedule, beta, t).  ``out`` may be ``raw`` or ``h``."""
     # schedule and beta were validated at construction
     b = _beta_at(state.schedule, state.beta, t)
-    np.multiply(raw, b, out=raw)
-    raw += (1.0 - b) * h
+    fresh = (1.0 - b) * h
+    np.multiply(raw, b, out=out)
+    out += fresh
+    return out
+
+
+def clip_into(state, raw, out):
+    """Clip ``raw``, a vector or a block of rows, into ``out``:
+    max(e, D) (or D + e) with D = sqrt(raw) for squared-ema and |raw| for
+    additive-ema.  ``out`` may be ``raw``."""
     if state.rule == "squared-ema":
-        np.sqrt(raw, out=clipped)
+        np.sqrt(raw, out=out)
     else:
-        np.abs(raw, out=clipped)
+        np.abs(raw, out=out)
     if state.clip_variant == "add":
-        clipped += state.floor_e
+        out += state.floor_e
     else:
-        np.maximum(clipped, state.floor_e, out=clipped)
+        np.maximum(out, state.floor_e, out=out)
+    return out
+
+
+def advance_block(state, problem, t, fired, rademacher_rng, raw, out):
+    """Update calls t, ..., t + m - 1 of a scaling whose curvature reads no
+    iterate: Hutchinson probes on a quadratic or bilinear problem, or any
+    beta = 1 scaling (which never fires).  ``fired`` is the calls' (m,)
+    fire column; ``raw`` is moved in place and each call's clipped
+    diagonal goes to a row of the (m, d) block ``out``.
+
+    The k fired calls' probes are one (k, d) block of signs, their Hessian
+    products one ``hvp_into`` block; each fired row then takes its EMA step
+    in turn, and one clip covers the block.  Row for row this is what
+    ``advance`` computes call by call.
+
+    Returns the number of calls applied: m, or the index of the first
+    fired call whose curvature is not finite (where ``curvature_for``
+    raises).  ``out``'s rows from there on are then not written, and
+    ``raw`` holds the EMA before that call.
+    """
+    m = fired.shape[0]
+    at = np.flatnonzero(fired).tolist()
+    k = len(at)
+    # row 0 holds raw, row i the EMA after the i-th fired call
+    ema = np.empty((k + 1, raw.shape[0]))
+    ema[0] = raw
+    if k:
+        h = ema[1:]
+        # an overflow shows as a non-finite row, reported at its own call
+        with np.errstate(over="ignore", invalid="ignore"):
+            _hutchinson_into(state, problem, None, rademacher_rng, h)
+        finite = np.isfinite(h).all(axis=1)
+        if not finite.all():
+            k = int(np.argmin(finite))
+            m = at[k]
+        for i in range(k):
+            ema_into(state, t + at[i], ema[i], ema[i + 1], ema[i + 1])
+    np.take(ema, np.cumsum(fired[:m]), axis=0, out=out[:m], mode="clip")
+    clip_into(state, out[:m], out[:m])
+    raw[...] = ema[k]
+    return m
 
 
 def advance(state, rng_stream, curvature_fn):
@@ -280,10 +369,9 @@ def advance(state, rng_stream, curvature_fn):
     # clipping is a function of raw, so a skip keeps both arrays
     raw, clipped = state.raw, state.clipped
     if fire:
-        raw, clipped = raw.copy(), np.empty_like(raw)
-        ema_clip_into(state, state.t, curvature_fn(), raw, clipped)
-        P._freeze(raw)
-        P._freeze(clipped)
+        raw = P._freeze(ema_into(state, state.t, raw, curvature_fn(),
+                                 np.empty_like(raw)))
+        clipped = P._freeze(clip_into(state, raw, np.empty_like(raw)))
     return dataclasses.replace(state, raw=raw, clipped=clipped, t=state.t + 1,
                                last_fired=fire)
 

@@ -61,7 +61,7 @@ def _freeze(arr):
 def _all_finite(v):
     """Whether every entry of ``v`` is finite; a finite dot(v, v) proves it
     without the entrywise test."""
-    return math.isfinite(np.dot(v, v)) or bool(np.isfinite(v).all())
+    return math.isfinite(v.dot(v)) or bool(np.isfinite(v).all())
 
 
 @dataclass(frozen=True)
@@ -211,17 +211,18 @@ def field_into(p, z_cat, out):
     y = z_cat[dx:]
     ox = out[:dx]
     oy = out[dx:]
-    # ((A x + B y) + a, (C y - B'x) + c), summed in place in that order
+    # ((A x + B y) + a, (C y - B'x) + c), summed in place in that order;
+    # ndarray.dot runs np.dot's routine without its dispatch
     if p.kind == "quadratic":
-        np.dot(p.A, x, out=ox)
-        ox += np.dot(p.B, y)
+        p.A.dot(x, out=ox)
+        ox += p.B.dot(y)
         ox += p.a
-        np.dot(p.C, y, out=oy)
-        oy -= np.dot(p.BT, x)
+        p.C.dot(y, out=oy)
+        oy -= p.BT.dot(x)
         oy += p.c
     else:
-        np.dot(p.B, y, out=ox)
-        np.dot(p.BT, x, out=oy)
+        p.B.dot(y, out=ox)
+        p.BT.dot(x, out=oy)
         np.negative(oy, out=oy)
     return out
 
@@ -232,13 +233,19 @@ def hvp_into(p, z_cat, v_cat, out):
     Convention: the x block carries the Hessian of f in x, the y block the
     Hessian of -f in y (so both blocks are positive for SC quadratics:
     (A v_x, C v_y)).
+
+    On a quadratic or bilinear problem, whose Hessian does not depend on
+    the point, ``v_cat`` may also be an (m, d_x + d_y) block of vectors,
+    one per row, and ``out`` a block of the same shape; ``z_cat`` is then
+    not read.  ``np.matvec`` takes the products in both cases, and its
+    rows equal the single-vector products.
     """
     if p.kind == "quadratic":
         dx = p.d_x
-        np.dot(p.A, v_cat[:dx], out=out[:dx])
-        np.dot(p.C, v_cat[dx:], out=out[dx:])
+        np.matvec(p.A, v_cat[..., :dx], out=out[..., :dx])
+        np.matvec(p.C, v_cat[..., dx:], out=out[..., dx:])
     elif p.kind == "bilinear":
-        out[:] = 0.0
+        out[...] = 0.0
     else:
         out[0] = (1.0 + p.alpha * np.cos(z_cat[0])) * v_cat[0]
         out[1] = (1.0 + p.alpha * np.cos(z_cat[1])) * v_cat[1]

@@ -34,7 +34,7 @@ from .optim import (
 )
 from .precond import (
     ScalingState,
-    beta_t,
+    beta_series,
     curvature_hutchinson,
     gamma_bound,
     growth_constant,
@@ -175,9 +175,8 @@ def _check_scaling_growth(seed):
         n = len(trace)
         # step k + 1 against step k: a fired step may grow each entry by its
         # factor, a skipped one not at all
-        factors = np.array([
-            1.0 + (1.0 - beta_t(scaling.schedule, scaling.beta, k)) * c_full
-            for k in range(1, n)])
+        factors = 1.0 + (1.0 - beta_series(scaling.schedule, scaling.beta,
+                                           1, n)) * c_full
         prev, cur = trace.clipped[:-1], trace.clipped[1:]
         limit = np.where(trace.fired[1:, None],
                          factors[:, None] * prev + 1e-12, prev)

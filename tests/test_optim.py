@@ -9,6 +9,9 @@ directly against the field oracle cross-checks the production loop.
 """
 
 import dataclasses
+import importlib
+import pathlib
+import shutil
 import sys
 import threading
 import tracemalloc
@@ -30,7 +33,7 @@ from saddle_scale.optim import (
     step_single_call,
     warm_start_single_call,
 )
-from saddle_scale.precond import scaling_preset
+from saddle_scale.precond import ScalingState, fire_column, scaling_preset
 from saddle_scale.problems import (
     PointPair,
     SaddleProblem,
@@ -324,8 +327,11 @@ def steps_reference(p, cfg):
     """
     streams = RunStreams.from_seed(cfg.seed)
     dx, dy = p.d_x, p.d_y
-    z = np.concatenate([streams.init.standard_normal(dx),
-                        streams.init.standard_normal(dy)])
+    if cfg.z0 is not None:
+        z = cfg.z0.as_vector().copy()
+    else:
+        z = np.concatenate([streams.init.standard_normal(dx),
+                            streams.init.standard_normal(dy)])
     z_star = p.z_star.as_vector()
     scaling = cfg.scaling.spawn(dx, dy)
     w = z_half = z
@@ -545,6 +551,195 @@ def test_divergence_mid_block_keeps_an_exact_record_prefix():
     assert np.array_equal(err.trajectory.half_z, halves)
     assert np.array_equal(err.trajectory.final_z.as_vector(), final)
     assert err.trajectory.grad_calls == grad_calls
+
+
+# ---------------------------------------------------------------------------
+# the scaling a block at a time, where its curvature reads no iterate
+
+
+def _engine_config(method, T, scaling, seed=11):
+    return OptimizerConfig(method=method, T=T, seed=seed, gamma=0.002,
+                           eta=0.004 if method == "single-call-momentum"
+                           else 0.0,
+                           batch=2, ema_lambda=0.9, scaling=scaling)
+
+
+@pytest.mark.parametrize("schedule", [{"update_prob": 0.3},
+                                      {"update_every_k": 3}])
+@pytest.mark.parametrize("preset", ["oasis", "adahessian"])
+@pytest.mark.parametrize("kind", ["quadratic", "bilinear"])
+@pytest.mark.parametrize("method", optim.METHODS)
+def test_block_scaling_matches_single_steps(method, kind, preset, schedule):
+    # Hutchinson on a constant Hessian: the fire column, probes, EMA and
+    # clip of a block are drawn and taken before its steps
+    if kind == "quadratic":
+        p = make_quadratic(3, 2, mu=0.5, L=2.0, seed=5, sigma=0.3)
+    else:
+        p = make_bilinear(3, L=1.0, seed=3, sigma=0.1)
+    scaling = scaling_preset(preset, p.d_x, p.d_y, **schedule)
+    assert_run_matches_steps(p, _engine_config(method, 1200, scaling))
+
+
+@pytest.mark.parametrize("method", optim.METHODS)
+def test_identity_scaling_matches_single_steps(method):
+    # beta = 1 never fires, so its clipped diagonals are known in advance
+    p = make_quadratic(3, 2, mu=0.5, L=2.0, seed=5, sigma=0.3)
+    for scaling in (identity(3, 2),
+                    scaling_preset("identity", 3, 2, update_prob=0.5)):
+        assert_run_matches_steps(p, _engine_config(method, 300, scaling))
+
+
+@pytest.mark.parametrize("method", optim.METHODS)
+def test_block_scaling_matches_single_steps_across_blocks(method):
+    # d = 5: T crosses two block and chunk boundaries and ends mid-block
+    p = make_quadratic(3, 2, mu=0.5, L=2.0, seed=5, sigma=0.3)
+    scaling = scaling_preset("adahessian", 3, 2, update_every_k=3)
+    assert_run_matches_steps(
+        p, _engine_config(method, 2 * optim.STREAM_CHUNK + 37, scaling))
+
+
+@pytest.mark.parametrize("source", ["hutchinson", "grad-square"])
+@pytest.mark.parametrize("method", optim.METHODS)
+def test_scaling_rows_drawn_past_a_mid_block_emit(method, source):
+    # d = 100: blocks of 655 rows, so the 1000-record emit flushes 345 rows
+    # into the second block and the 310 schedule rows drawn past them move
+    # to the block's front (clipped diagonals and fire column for
+    # Hutchinson, the fire column alone for grad-square)
+    dx = 50
+    p = make_quadratic(dx, dx, mu=0.5, L=2.0, seed=6, sigma=0.3)
+    rows = optim._BLOCK_ENTRIES // (2 * dx)
+    T = 1100
+    assert rows < optim.STREAM_CHUNK < 2 * rows and T > optim.STREAM_CHUNK
+    scaling = ScalingState.create(
+        rule="additive-ema", source=source, schedule="constant-beta",
+        beta=0.999, floor_e=0.01, update_prob=0.3, d_x=dx, d_y=dx)
+    assert_run_matches_steps(p, _engine_config(method, T, scaling, seed=12))
+
+
+class _CountingStream:
+    """A generator that records the number of uniforms each call draws."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.sizes = []
+
+    def random(self, size=None):
+        self.sizes.append(int(np.prod(size)) if size is not None else 1)
+        return self.gen.random(size)
+
+
+@pytest.mark.parametrize("preset, schedule, T, skips", [
+    ("oasis", {"update_prob": 0.3}, 1500, [1000, 500]),
+    ("oasis", {"update_prob": 0.3}, 7, [7]),
+    ("adahessian", {"update_every_k": 3}, 1500, []),
+    ("adahessian", {}, 1500, []),
+    ("identity", {"update_prob": 0.5}, 1500, [1000, 500]),
+])
+@pytest.mark.parametrize("method", optim.METHODS)
+def test_run_draws_only_the_schedule_it_uses(monkeypatch, method, preset,
+                                              schedule, T, skips):
+    # one skip uniform per step when p < 1, drawn a block (at most
+    # min(STREAM_CHUNK, T) rows at d = 5) at a time, and one probe row of
+    # d signs per fired Hutchinson update, in one draw per block
+    from_seed = RunStreams.from_seed
+    seen = {}
+
+    def counting(seed):
+        streams = from_seed(seed)
+        seen["skip"] = _CountingStream(streams.precond_skip)
+        seen["probes"] = _CountingStream(streams.rademacher)
+        return dataclasses.replace(streams, precond_skip=seen["skip"],
+                                   rademacher=seen["probes"])
+
+    monkeypatch.setattr(RunStreams, "from_seed", staticmethod(counting))
+    p = make_quadratic(3, 2, mu=0.5, L=2.0, seed=5, sigma=0.3)
+    scaling = scaling_preset(preset, 3, 2, **schedule)
+    traj = run(p, _engine_config(method, T, scaling))
+    assert seen["skip"].sizes == skips
+    probes = seen["probes"].sizes
+    assert sum(probes) == 5 * traj.hvp_calls
+    assert len(probes) <= -(-T // min(optim.STREAM_CHUNK, T))
+    if preset == "identity":
+        assert traj.hvp_calls == 0
+    elif "update_prob" not in schedule:
+        assert traj.hvp_calls == (T if not schedule else -(-T // 3))
+
+
+def _overflowing_curvature_problem():
+    # A = 1e200 I: its Hutchinson probes are +-1e200, whose squares
+    # overflow; x starts and stays at 0, so the iterates stay finite
+    dx = dy = 2
+    return SaddleProblem(
+        kind="quadratic", d_x=dx, d_y=dy, mu=1.0, L=1e200,
+        A=1e200 * np.eye(dx), B=np.zeros((dx, dy)), C=np.eye(dy),
+        a=np.zeros(dx), c=np.ones(dy),
+        z_star=PointPair(np.zeros(dx), -np.ones(dy)))
+
+
+@pytest.mark.parametrize("update_prob", [1.0, 0.3])
+@pytest.mark.parametrize("method", optim.METHODS)
+def test_non_finite_block_curvature_diverges_at_its_own_step(method,
+                                                             update_prob):
+    p = _overflowing_curvature_problem()
+    scaling = scaling_preset("adahessian", 2, 2, update_prob=update_prob)
+    # seed 5's first skip uniform under 0.3 is its eleventh
+    cfg = dataclasses.replace(_engine_config(method, 50, scaling, seed=5),
+                              z0=PointPair(np.zeros(2), [0.5, -0.25]))
+    # the single steps raise at the first fired update
+    fired = fire_column(scaling, 0, cfg.T,
+                        RunStreams.from_seed(cfg.seed).precond_skip)
+    first = int(np.argmax(fired))
+    assert fired[first] and (first > 0) == (update_prob < 1.0)
+    chunks = []
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
+        run(p, cfg, on_records=lambda c: chunks.append(c.block.copy()))
+    err = info.value
+    assert str(err) == f"iterate turned non-finite at iteration {first}"
+    assert err.t == first
+    recs = err.trajectory.records
+    assert len(recs) == first
+    if first:
+        (halves, final, avg_u, avg_e, grad_calls, _, _,
+         records) = steps_reference(p, dataclasses.replace(cfg, T=first))
+        assert [(r.dist2, r.r2_weighted, r.grad_norm2, r.dhat_min,
+                 r.dhat_max) for r in recs] == records
+        assert np.array_equal(err.trajectory.half_z, halves)
+        assert np.array_equal(err.trajectory.final_z.as_vector(), final)
+        assert np.array_equal(np.concatenate(chunks), recs.block)
+    assert err.trajectory.hvp_calls == 0
+
+
+def test_a_run_past_its_noise_budget_raises(tmp_path, monkeypatch):
+    # plant a fault that makes single-call pay a fresh gradient at z_t on
+    # every step (two calls per step) in a copy of the package; its noise
+    # budget of T + 1 rows runs dry at call T + 2
+    src = pathlib.Path(optim.__file__).resolve().parent
+    copy = tmp_path / "saddle_scale_planted"
+    shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    engine = copy / "optim.py"
+    text = engine.read_text()
+    old = "at, g_t = z_half, g_half"
+    assert text.count(old) == 1
+    engine.write_text(text.replace(old, "at, g_t = z, add_noise_into(f, g)"))
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    planted = importlib.import_module("saddle_scale_planted")
+    try:
+        p = planted.make_quadratic(3, 2, mu=0.5, L=2.0, seed=5, sigma=0.3)
+        T = 1500
+        cfg = planted.OptimizerConfig(method="single-call-momentum", T=T,
+                                      seed=1, gamma=1e-3)
+        with pytest.raises(RuntimeError) as info:
+            planted.run(p, cfg)
+        assert str(info.value) == (f"stochastic-gradient call {T + 2} is "
+                                   f"past the run's noise budget")
+        # noise-free, the same fault runs to the end with 2T + 1 calls
+        clean = dataclasses.replace(p, sigma=0.0, noise_bound=0.0)
+        assert planted.run(clean, cfg).grad_calls == 2 * T + 1
+    finally:
+        for name in [m for m in sys.modules
+                     if m.split(".")[0] == "saddle_scale_planted"]:
+            del sys.modules[name]
 
 
 # ---------------------------------------------------------------------------

@@ -433,6 +433,68 @@ def test_vecdot_rows_equal_per_row_dot():
             float(np.dot(x, y)) for x, y in zip(X, Y)], d
 
 
+@pytest.mark.parametrize("m", [1, 7, 65, 1000])
+@pytest.mark.parametrize("d", [2, 5, 20, 100, 1000])
+def test_matvec_rows_on_column_slices_equal_per_row_dot(d, m):
+    # hvp_into takes one block's Hessian products by np.matvec on the x
+    # and y column slices of a (m, d) block of probes
+    rng = np.random.default_rng(d * m)
+    dx = d // 2
+    A = rng.standard_normal((dx, dx))
+    C = rng.standard_normal((d - dx, d - dx))
+    V = rng.standard_normal((m, d))
+    out = np.empty((m, d))
+    np.matvec(A, V[:, :dx], out=out[:, :dx])
+    np.matvec(C, V[:, dx:], out=out[:, dx:])
+    for v, got in zip(V, out):
+        assert np.array_equal(got[:dx], np.dot(A, v[:dx]))
+        assert np.array_equal(got[dx:], np.dot(C, v[dx:]))
+    # a single vector through np.matvec is the one-row case
+    assert np.array_equal(np.matvec(A, V[0, :dx]), np.dot(A, V[0, :dx]))
+
+
+@pytest.mark.parametrize("k, d", [(1, 1), (7, 5), (65, 20), (300, 1000)])
+def test_uniform_blocks_equal_single_draws(k, d):
+    # run draws a block's skip uniforms with random(m) and its probes with
+    # random((k, d)); the reference steps draw one call at a time
+    blocks = np.random.default_rng(k + d)
+    singles = np.random.default_rng(k + d)
+    assert blocks.random(k).tolist() == [singles.random() for _ in range(k)]
+    got = blocks.random(k * d).reshape(k, d)
+    assert np.array_equal(got, [singles.random(d) for _ in range(k)])
+    assert np.array_equal(blocks.random((k, d)),
+                          [singles.random(d) for _ in range(k)])
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (10, 7), (64, 64), (500, 500),
+                                  (1000, 1000)])
+def test_ndarray_dot_into_out_equals_np_dot(m, n):
+    # field_into calls the method, which skips np.dot's dispatch
+    rng = np.random.default_rng(m + n)
+    A = rng.standard_normal((m, n))
+    x = rng.standard_normal(n)
+    want = np.empty(m + 3)
+    got = np.empty(m + 3)
+    np.dot(A, x, out=want[3:])
+    A.dot(x, out=got[3:])
+    assert np.array_equal(got[3:], want[3:])
+    assert np.array_equal(A.dot(x), np.dot(A, x))
+
+
+@pytest.mark.parametrize("rows, d", [(1, 3), (2, 20), (1000, 20), (65, 1000)])
+def test_accumulate_rows_equal_running_sum(rows, d):
+    # run's uniform sum accumulates a block of half-steps in place from the
+    # carried sum in row 0; the steps add one half-step at a time
+    rng = np.random.default_rng(rows * d)
+    block = rng.standard_normal((rows + 1, d))
+    running = block[0].copy()
+    for row in block[1:]:
+        running += row
+    assert np.array_equal(np.add.accumulate(block, axis=0)[-1], running)
+    np.add.accumulate(block, axis=0, out=block)
+    assert np.array_equal(block[-1], running)
+
+
 @pytest.mark.parametrize("m, n", [(2, 2), (3, 2), (10, 10), (10, 7),
                                   (20, 20), (64, 64), (300, 500),
                                   (500, 500), (1000, 1000)])

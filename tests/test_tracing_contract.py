@@ -48,22 +48,28 @@ def test_traced_runs_report_every_layer(perfbench_modules, tmp_path):
                                                      update_prob=0.5),
                            trace_scaling=True),
     ]
+    # minty's Hessian varies with the iterate, so its probes stay per step
+    minty = ss.make_minty(seed=7, sigma=0.2)
+    minty_config = ss.OptimizerConfig(
+        method="extragrad", T=T, seed=4, gamma=1e-3,
+        scaling=ss.scaling_preset("adahessian", 1, 1))
     tracer = tracer_mod.Tracer()
     runner.install_tracing(tracer, ss, bench=bench)
     try:
         trajs = [ss.run(problem, cfg) for cfg in configs]
+        minty_traj = ss.run(minty, minty_config)
     finally:
         tracer.restore()
     assert ss.run is saddle_scale.optim.run
     assert saddle_scale.optim.field_into is saddle_scale.problems.field_into
 
     counters = tracer.counters()
-    assert counters["optim.records"] == 3 * T
-    # every run keeps T rows of 5 half-step entries; the traced sgda run
-    # keeps T clipped diagonals of 5 entries
-    assert counters["optim.half_z.bytes"] == 3 * T * 5 * 8
+    assert counters["optim.records"] == 4 * T
+    # every run keeps T rows of its half-step entries (5, or 2 on minty);
+    # the traced sgda run keeps T clipped diagonals of 5 entries
+    assert counters["optim.half_z.bytes"] == 3 * T * 5 * 8 + T * 2 * 8
     assert counters["optim.scaling_trace.bytes"] == T * 5 * 8
-    assert all(len(t.records) == T for t in trajs)
+    assert all(len(t.records) == T for t in trajs + [minty_traj])
 
     spans = tmp_path / "spans.npz"
     tracer.save(spans)
@@ -71,12 +77,21 @@ def test_traced_runs_report_every_layer(perfbench_modules, tmp_path):
     # F(z_t) once per iteration in run, plus each iteration's fresh
     # gradient calls after the first: extragrad 1, single-call 1 (+1 warm
     # start), sgda 0
-    assert layers["problems.field_into"]["calls"] == 2 * T + (2 * T + 1) + T
+    assert layers["problems.field_into"]["calls"] == (
+        2 * T + (2 * T + 1) + T + 2 * T)
     # rmsprop and adahessian fire every step, oasis at p = 0.5
     fires = 2 * T + sum(e.fired for e in trajs[2].scaling_trace)
     assert 2 * T < fires < 3 * T
-    assert layers["precond.curvature_for"]["calls"] == fires
     hutchinson_fires = sum(t.hvp_calls for t in trajs)
     assert hutchinson_fires == fires - T
-    assert layers["problems.hvp_into"]["calls"] == hutchinson_fires
+    # on the quadratic only grad-square reads the iterate and calls
+    # curvature_for, once per fire; the Hutchinson scalings take one
+    # hvp_into block per block of steps (T fits in one), straight from run
+    assert minty_traj.hvp_calls == T
+    curvature = layers["precond.curvature_for"]
+    assert curvature["calls"] == T + minty_traj.hvp_calls
+    hvp = layers["problems.hvp_into"]
+    assert hvp["by_parent"]["optim.run"]["calls"] == 2
+    assert hvp["by_parent"]["precond.curvature_for"]["calls"] == T
+    assert hvp["calls"] == 2 + minty_traj.hvp_calls
     assert np.isfinite(trajs[2].final_z.as_vector()).all()
