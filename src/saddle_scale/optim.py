@@ -341,8 +341,8 @@ def run(problem, config, on_records=None):
     the clipped diagonal and the half-step in rows of (rows, d) blocks
     (the half-steps in a (rows + 1, d) block whose row 0 carries the
     previous one).  The scaling's curvature reads the iterate only for
-    grad-square with beta < 1 and for Hutchinson on minty; those refresh it
-    per fired step.
+    grad-square with beta < 1 and for Hutchinson on a problem without
+    ``constant_hessian`` (minty); those refresh it per fired step.
 
     Per block of steps the run draws the scaling's fire column
     (``precond.fire_column``) and, when the curvature reads no iterate,
@@ -386,9 +386,9 @@ def run(problem, config, on_records=None):
     noisy = problem.sigma > 0.0
     hutchinson = scaling.source == "hutchinson"
     # grad-square reads the gradient at the iterate, and Hutchinson the
-    # Hessian there, which only minty's varies; beta = 1 never fires
+    # Hessian there unless it is constant; beta = 1 never fires
     per_step = scaling.beta != 1.0 and (
-        not hutchinson or problem.kind == "minty-example")
+        not hutchinson or not problem.constant_hessian)
     skip_rng, rademacher = streams.precond_skip, streams.rademacher
     lam = config.ema_lambda
     d = dx + dy

@@ -17,8 +17,8 @@ parts: ``fires`` (the one-row case of ``fire_column``), the EMA step
 ``ema_into`` and the clip ``clip_into``.  The run engine applies the same
 parts to its own buffers.  It draws each block of steps' fire column at
 once, and where the curvature reads no iterate (Hutchinson probes on a
-quadratic or bilinear problem, whose Hessian is constant, or a beta = 1
-scaling, which never fires) it moves the scaling over the whole block with
+problem with ``constant_hessian``, or a beta = 1 scaling, which never
+fires) it moves the scaling over the whole block with
 ``advance_block``: one block of probes, one block of Hessian products, one
 EMA step per fired row and one clip over the block.
 """
@@ -204,8 +204,12 @@ def _signs(rng_stream, shape):
 
 
 def _probe_into(p, z, v, out):
-    """out <- v * (H v) at ``z``, for a vector or a block of sign rows."""
-    P.hvp_into(p, z, v, out)
+    """out <- v * (H v) at ``z``; with ``z`` None, on a problem with
+    ``constant_hessian``, one probe per row of a block of signs ``v``."""
+    if z is None:
+        P._hvp_rows_into(p, v, out)
+    else:
+        P.hvp_into(p, z, v, out)
     out *= v
     return out
 
@@ -224,8 +228,8 @@ def curvature_hutchinson(p, z, rng_stream):
 
 def _hutchinson_into(state, p, z, rng_stream, out):
     """Hutchinson curvature in the representation ``state.rule`` expects,
-    written into ``out``: one probe at ``z``, or one probe per row of a
-    block (for a problem whose Hessian does not depend on ``z``)."""
+    written into ``out``: one probe at ``z``, or with ``z`` None one probe
+    per row of a block (for a problem with ``constant_hessian``)."""
     _probe_into(p, z, _signs(rng_stream, out.shape), out)
     if state.rule == "squared-ema":
         np.multiply(out, out, out=out)
@@ -309,13 +313,13 @@ def clip_into(state, raw, out):
 
 def advance_block(state, problem, t, fired, rademacher_rng, raw, out):
     """Update calls t, ..., t + m - 1 of a scaling whose curvature reads no
-    iterate: Hutchinson probes on a quadratic or bilinear problem, or any
-    beta = 1 scaling (which never fires).  ``fired`` is the calls' (m,)
+    iterate: Hutchinson probes on a problem with ``constant_hessian``, or
+    any beta = 1 scaling (which never fires).  ``fired`` is the calls' (m,)
     fire column; ``raw`` is moved in place and each call's clipped
     diagonal goes to a row of the (m, d) block ``out``.
 
     The k fired calls' probes are one (k, d) block of signs, their Hessian
-    products one ``hvp_into`` block; each fired row then takes its EMA step
+    products one ``problems._hvp_rows_into`` block; each fired row then takes its EMA step
     in turn, and one clip covers the block.  Row for row this is what
     ``advance`` computes call by call.
 

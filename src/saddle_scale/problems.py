@@ -145,6 +145,14 @@ class SaddleProblem:
             if v is not None:
                 object.__setattr__(self, name, _freeze(_as_vector(v, name).copy()))
 
+    @property
+    def constant_hessian(self):
+        """Whether ``hvp_into``'s curvature is the same at every point: the
+        quadratic's (A, C) blocks and the bilinear zero; only minty's varies.
+        Such a problem's products can be taken a block of vectors at a time
+        (``_hvp_rows_into``)."""
+        return self.kind != "minty-example"
+
     # -- convenience constructors -----------------------------------------
 
     @staticmethod
@@ -233,22 +241,25 @@ def hvp_into(p, z_cat, v_cat, out):
     Convention: the x block carries the Hessian of f in x, the y block the
     Hessian of -f in y (so both blocks are positive for SC quadratics:
     (A v_x, C v_y)).
-
-    On a quadratic or bilinear problem, whose Hessian does not depend on
-    the point, ``v_cat`` may also be an (m, d_x + d_y) block of vectors,
-    one per row, and ``out`` a block of the same shape; ``z_cat`` is then
-    not read.  ``np.matvec`` takes the products in both cases, and its
-    rows equal the single-vector products.
     """
+    if p.constant_hessian:
+        return _hvp_rows_into(p, v_cat, out)
+    out[0] = (1.0 + p.alpha * np.cos(z_cat[0])) * v_cat[0]
+    out[1] = (1.0 + p.alpha * np.cos(z_cat[1])) * v_cat[1]
+    return out
+
+
+def _hvp_rows_into(p, v_cat, out):
+    """``hvp_into`` for a problem with ``constant_hessian``, where no point
+    is needed: ``v_cat`` is one vector or an (m, d_x + d_y) block of them,
+    one per row, and ``out`` has its shape.  ``np.matvec``'s rows equal the
+    single-vector products."""
     if p.kind == "quadratic":
         dx = p.d_x
         np.matvec(p.A, v_cat[..., :dx], out=out[..., :dx])
         np.matvec(p.C, v_cat[..., dx:], out=out[..., dx:])
-    elif p.kind == "bilinear":
-        out[...] = 0.0
     else:
-        out[0] = (1.0 + p.alpha * np.cos(z_cat[0])) * v_cat[0]
-        out[1] = (1.0 + p.alpha * np.cos(z_cat[1])) * v_cat[1]
+        out[...] = 0.0
     return out
 
 

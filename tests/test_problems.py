@@ -25,6 +25,7 @@ from saddle_scale.errors import (
 from saddle_scale.problems import (
     PointPair,
     SaddleProblem,
+    _hvp_rows_into,
     add_noise,
     field_into,
     gradient,
@@ -235,6 +236,21 @@ def test_hvp_direct_matvec():
     assert np.array_equal(h[:2], np.array([1.0, -2.0]))
 
 
+def test_hvp_rows_equal_single_vector_products():
+    # a block of probes on a problem with a constant Hessian gives, row for
+    # row, the products hvp_into takes one vector at a time
+    rng = np.random.default_rng(3)
+    for p in (make_quadratic(4, 3, mu=0.5, L=2.0, seed=1),
+              make_bilinear(3, 2.0, seed=4)):
+        assert p.constant_hessian
+        d = p.d_x + p.d_y
+        V = rng.standard_normal((9, d))
+        rows = _hvp_rows_into(p, V, np.full((9, d), np.nan))
+        for v, got in zip(V, rows):
+            assert np.array_equal(got, hvp_of(p, None, v))
+    assert not make_minty(seed=2).constant_hessian
+
+
 def test_hvp_minty_is_analytic_second_derivative():
     p = make_minty(seed=2)
     z = np.array([0.4, -1.3])
@@ -436,8 +452,8 @@ def test_vecdot_rows_equal_per_row_dot():
 @pytest.mark.parametrize("m", [1, 7, 65, 1000])
 @pytest.mark.parametrize("d", [2, 5, 20, 100, 1000])
 def test_matvec_rows_on_column_slices_equal_per_row_dot(d, m):
-    # hvp_into takes one block's Hessian products by np.matvec on the x
-    # and y column slices of a (m, d) block of probes
+    # _hvp_rows_into takes one block's Hessian products by np.matvec on the
+    # x and y column slices of a (m, d) block of probes
     rng = np.random.default_rng(d * m)
     dx = d // 2
     A = rng.standard_normal((dx, dx))

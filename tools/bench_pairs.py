@@ -3,20 +3,17 @@
 
 Usage (from the root of a checkout):
 
-    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_18.json
-    python3 tools/bench_pairs.py PARENT CHANGE --out B.json --pairs 4 \\
-        --run-args "--workload verify-desk --seconds 10" --trace 0
-    python3 tools/bench_pairs.py --summarize BENCH_14.json
+    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_<n>.json
 
-The first form makes a clean copy of each commit with ``git archive``
-(untracked and ignored files never reach a copy) in a temporary directory,
-then runs ``python3 perfbench/run.py`` in the two copies in turn: the
+It makes a clean copy of each commit with ``git archive`` (untracked and
+ignored files never reach a copy) in a temporary directory, then runs
+``python3 perfbench/run.py`` in the two copies in turn for 10 pairs: the
 parent first in odd pairs, the change first in even ones, so that a drift
 of the host's speed falls on both sides alike.  Each pair keeps the last
-JSON line each run prints.  With ``--trace 1`` (the default) it adds one
-``--trace 1`` run per side.  It writes one JSON record with the keys
-``description``, ``parent_commit``, ``change_commit``, ``machine_info``,
-``pairs``, ``summary``, ``trace`` and ``note``.
+JSON line each run prints.  It then adds one ``--trace 1`` run per side.
+It writes one JSON record with the keys ``description``,
+``parent_commit``, ``change_commit``, ``machine_info``, ``pairs``,
+``summary``, ``trace`` and ``note``.
 
 ``summary`` holds, per end-to-end metric:
 
@@ -27,9 +24,8 @@ JSON line each run prints.  With ``--trace 1`` (the default) it adds one
 * ``median_gap_exceeds_parent_iqr``: whether the two medians lie further
   apart than the parent's q3 - q1.
 
-The rule for a claimed gain: the change wins at least 9 of 10 pairs and
-the gap flag is true.  ``--summarize FILE`` prints the summary computed
-from a record's ``pairs``, so a committed record can be checked.
+The rule for a claimed gain: the change wins at least 9 of the 10 pairs
+and the gap flag is true.
 """
 
 import argparse
@@ -101,8 +97,12 @@ def resolve(commit):
                           text=True, check=True).stdout.strip()
 
 
-def bench(copy, run_args):
-    proc = subprocess.run([sys.executable, "perfbench/run.py", *run_args],
+PAIRS = 10
+COMMAND = "python3 perfbench/run.py"
+
+
+def bench(copy, *args):
+    proc = subprocess.run([sys.executable, "perfbench/run.py", *args],
                           cwd=copy, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"perfbench/run.py failed in {copy}:\n"
@@ -117,7 +117,7 @@ def machine_info(copy):
     return proc.stdout.splitlines()
 
 
-def record(parent, change, n_pairs, run_args, trace, claim):
+def record(parent, change):
     parent_sha, change_sha = resolve(parent), resolve(change)
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
@@ -125,36 +125,27 @@ def record(parent, change, n_pairs, run_args, trace, claim):
         checkout(parent_sha, copies["parent"])
         checkout(change_sha, copies["change"])
         pairs = []
-        for k in range(1, n_pairs + 1):
+        for k in range(1, PAIRS + 1):
             order = ("parent", "change") if k % 2 else ("change", "parent")
             entry = {"pair": k, "first": order[0]}
             for side in order:
-                entry[side] = bench(copies[side], run_args)
+                entry[side] = bench(copies[side])
                 print(f"pair {k} {side}: failed={entry[side]['failed']}",
                       file=sys.stderr)
             pairs.append(entry)
-        traced = {}
-        if trace:
-            for side in ("parent", "change"):
-                traced[side] = {"json": bench(copies[side],
-                                              [*run_args, "--trace", "1"])}
+        traced = {side: {"json": bench(copies[side], "--trace", "1")}
+                  for side in ("parent", "change")}
         info = machine_info(copies["change"])
     finally:
         shutil.rmtree(scratch)
-    command = " ".join(["python3 perfbench/run.py", *run_args])
     description = (
-        f"saddle-scale benchmark record: {command} on the parent and the "
+        f"saddle-scale benchmark record: {COMMAND} on the parent and the "
         f"change, each from a clean checkout (git archive) of its commit, in "
-        f"{n_pairs} alternating pairs (parent first in odd pairs, change "
-        f"first in even ones)")
-    if trace:
-        description += f"; plus one {command} --trace 1 run per side"
-    description += (
-        ". Each pair entry holds the final JSON line of standard output; "
-        "summary holds each metric's median per-pair change/parent ratio, "
-        "the pairs the change won, and each side's quartiles.")
-    if claim:
-        description += f" Claimed gain: {claim}."
+        f"{PAIRS} alternating pairs (parent first in odd pairs, change first "
+        f"in even ones); plus one {COMMAND} --trace 1 run per side. Each "
+        f"pair entry holds the final JSON line of standard output; summary "
+        f"holds each metric's median per-pair change/parent ratio, the pairs "
+        f"the change won, and each side's quartiles.")
     return {
         "description": description,
         "parent_commit": parent_sha,
@@ -169,27 +160,12 @@ def record(parent, change, n_pairs, run_args, trace, claim):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", nargs="?", help="the parent commit")
-    ap.add_argument("change", nargs="?", help="the changed commit")
-    ap.add_argument("--out", help="the BENCH_<n>.json to write")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--run-args", default="",
-                    help="arguments passed to each perfbench/run.py run")
-    ap.add_argument("--trace", type=int, choices=(0, 1), default=1)
-    ap.add_argument("--claim", default="", help="the claimed gain, if any")
-    ap.add_argument("--summarize", metavar="FILE",
-                    help="print the summary of a record's pairs and exit")
+    ap.add_argument("parent", help="the parent commit")
+    ap.add_argument("change", help="the changed commit")
+    ap.add_argument("--out", required=True,
+                    help="the BENCH_<n>.json to write")
     args = ap.parse_args(argv)
-    if args.summarize:
-        pairs = json.loads(Path(args.summarize).read_text())["pairs"]
-        print(json.dumps(summarize(pairs), indent=1))
-        return 0
-    if not (args.parent and args.change and args.out):
-        ap.error("give PARENT, CHANGE and --out, or --summarize FILE")
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
-    rec = record(args.parent, args.change, args.pairs, args.run_args.split(),
-                 args.trace, args.claim)
+    rec = record(args.parent, args.change)
     Path(args.out).write_text(json.dumps(rec, indent=1) + "\n")
     for metric, s in rec["summary"].items():
         print(f"{metric:<28} ratio {s['median_ratio_change_over_parent']:.3f}"
