@@ -319,9 +319,9 @@ def advance_block(state, problem, t, fired, rademacher_rng, raw, out):
     diagonal goes to a row of the (m, d) block ``out``.
 
     The k fired calls' probes are one (k, d) block of signs, their Hessian
-    products one ``problems._hvp_rows_into`` block; each fired row then takes its EMA step
-    in turn, and one clip covers the block.  Row for row this is what
-    ``advance`` computes call by call.
+    products one ``problems._hvp_rows_into`` block; each fired row then
+    takes its EMA step in turn, and one clip covers the block.  Row for row
+    this is what ``advance`` computes call by call.
 
     Returns the number of calls applied: m, or the index of the first
     fired call whose curvature is not finite (where ``curvature_for``
