@@ -616,8 +616,9 @@ def cmd_verify(only, seed):
     for r in results:
         status = "pass" if r.passed else "FAIL"
         print(f"{r.name:<{width}}  {status}  {r.claim}")
+        timing = f"; {r.timing}" if r.timing else ""
         print(f"{'':<{width}}        measured {r.measured}; bound "
-              f"{r.bound}; {r.seconds:.2f}s")
+              f"{r.bound}; {r.seconds:.2f}s{timing}")
     failures = [r.name for r in results if not r.passed]
     print(json.dumps({"checks": len(results), "failures": failures}))
     return EXIT_OK if not failures else EXIT_FAILED

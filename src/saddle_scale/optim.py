@@ -344,23 +344,23 @@ def run(problem, config, on_records=None):
     grad-square with beta < 1 and for Hutchinson on a problem without
     ``constant_hessian`` (minty); those refresh it per fired step.
 
-    Per block of steps the run draws the scaling's fire column
-    (``precond.fire_column``) and, when the curvature reads no iterate,
-    moves the scaling over the whole block (``precond.advance_block``),
-    writing the clipped diagonals straight into their block.  It also draws
-    the noise of the next steps (``problems.noise_into`` with one block of
-    ``_keys``).  Neither draws past what the run can use (T schedule rows;
-    2T, T or T + 1 noise rows); a run that asks for more raises
-    RuntimeError.  ``flush`` then fills the pending rows of the (T, 7)
-    record block (RECORD_FIELDS), of ``half_z`` and, with
-    ``trace_scaling``, of the (T, d) clipped-diagonal trace and its fired
-    column, and advances the uniform sum (``np.add.accumulate`` from the
-    carried sum) and the EMA of the half-steps.  A block is flushed when
-    full, before every chunk and before every returned or attached
-    trajectory; schedule rows drawn past a flush move to the block's front.
-    The row count is min(STREAM_CHUNK, T, 2**16 // d), so a block holds at
-    most 2**16 entries (512 KB): at d = 1000 the five blocks hold 2.6 MB,
-    and a block of Hutchinson probes takes two more while it is drawn.
+    A block of steps ends after ``rows`` steps, at the end of a chunk or
+    at T, so every chunk ends with a block.  At its start the run draws the
+    block's fire column (``precond.fire_column``) and, when the curvature
+    reads no iterate, moves the scaling over the whole block
+    (``precond.advance_block``), writing the clipped diagonals straight
+    into their block.  The noise block counts oracle calls, not steps: it
+    is refilled with the noise of the next calls (``problems.noise_into``
+    with one block of ``_keys``), never past the 2T, T or T + 1 rows the
+    run can use; a run that asks for more raises RuntimeError.  At the
+    block's end ``flush`` fills its rows of the (T, 7) record block
+    (RECORD_FIELDS), of ``half_z`` and, with ``trace_scaling``, of the
+    (T, d) clipped-diagonal trace and its fired column, and advances the
+    uniform sum (``np.add.accumulate`` from the carried sum) and the EMA of
+    the half-steps; a run that stops inside a block flushes it there.
+    ``rows`` is min(STREAM_CHUNK, T, 2**16 // d), so a block holds at most
+    2**16 entries (512 KB): at d = 1000 the five blocks hold 2.6 MB, and a
+    block of Hutchinson probes takes two more while it is drawn.
     """
     gamma = resolve_gamma(problem, config)
     if config.theory_safe:
@@ -412,7 +412,6 @@ def run(problem, config, on_records=None):
     g_half = np.empty(d)
     step = np.empty(d)
     pull = np.empty(d)
-    last_half = np.empty(d)
     raw = scaling.raw.copy()
     clipped = scaling.clipped.copy()  # the per-step refresh's diagonal
     sum_half = np.zeros(d)
@@ -432,8 +431,6 @@ def run(problem, config, on_records=None):
         noise_left = ((2 * T if method == "extragrad" else T)
                       + (method == "single-call-momentum"))
     drawn = used = 0  # rows of the noise block drawn and used
-    schedule_left = T  # schedule rows the run can use, one per step
-    ready = 0     # rows of fc (and, without per_step, of cs) drawn
     bad = T       # step whose curvature is not finite, if any
 
     n = 0         # steps taken, whose records are filled or pending
@@ -468,24 +465,6 @@ def run(problem, config, on_records=None):
         used += 1
         return np.add(noise_rows[used - 1], f_x, out=out)
 
-    def draw_schedule(t):
-        """Draw the fire column of the steps from t to the block's end and,
-        when the curvature reads no iterate, their clipped diagonals."""
-        nonlocal ready, schedule_left, bad
-        m = min(rows - j, schedule_left)
-        if m == 0:
-            raise RuntimeError(
-                f"step {t} is past the run's scaling schedule budget")
-        schedule_left -= m
-        col = fc[j:j + m]
-        col[:] = fire_column(scaling, t, m, skip_rng)
-        if not per_step:
-            done = advance_block(scaling, problem, t, col, rademacher, raw,
-                                 cs[j:j + m])
-            if done < m:
-                bad = t + done
-        ready = j + m
-
     def step_into(x, grad, clipped, out):
         """out <- x - gamma * (grad / clipped)"""
         np.divide(grad, clipped, out=step)
@@ -496,7 +475,7 @@ def run(problem, config, on_records=None):
         """Fill the records, half-steps and trace of the pending steps from
         the blocks, advance the averages, then move the current iterate and
         half-step to row 0."""
-        nonlocal j, ready, hvp_calls
+        nonlocal j, hvp_calls
         if j == 0:
             return
         start = n - j
@@ -528,18 +507,13 @@ def run(problem, config, on_records=None):
         for row in fresh:
             np.multiply(ema, lam, out=ema)
             np.add(ema, row, out=ema)
-        # the uniform sum: a running sum from the carried one in row 0
-        last_half[:] = hs[j]
-        hs[0] = sum_half
-        np.add.accumulate(hs[:j + 1], axis=0, out=hs[:j + 1])
-        sum_half[:] = hs[j]
-        hs[0] = last_half
-
-        # schedule rows drawn past the pending steps
-        if ready > j:
-            cs[:ready - j] = cs[j:ready]
-            fc[:ready - j] = fc[j:ready]
-        ready -= j
+        # the uniform sum: a running sum in fs from the carried one
+        sums = fs[:j]
+        sums[:] = halves
+        sums[0] += sum_half
+        np.add.accumulate(sums, axis=0, out=sums)
+        sum_half[:] = sums[-1]
+        hs[0] = hs[j]
         j = 0
 
     def emit():
@@ -575,8 +549,16 @@ def run(problem, config, on_records=None):
 
     grad_calls = calls  # calls through the last completed step
     for t in range(T):
-        if j == ready:
-            draw_schedule(t)
+        if j == 0:
+            # a block ends after rows steps, at the end of a chunk or at T
+            m = min(rows, T - t, STREAM_CHUNK - t % STREAM_CHUNK)
+            col = fc[:m]
+            col[:] = fire_column(scaling, t, m, skip_rng)
+            if not per_step:
+                done = advance_block(scaling, problem, t, col, rademacher,
+                                     raw, cs[:m])
+                if done < m:
+                    bad = t + done
         z, z_next, f = z_rows[j], z_rows[j + 1], f_rows[j]
         # single-call's previous half-step, and this step's
         z_half, half = h_rows[j], h_rows[j + 1]
@@ -631,7 +613,7 @@ def run(problem, config, on_records=None):
 
         n = t + 1
         j += 1
-        if j == rows:
+        if j == m:
             flush()
         if n - emitted >= STREAM_CHUNK:
             emit()

@@ -203,9 +203,13 @@ def _signs(rng_stream, shape):
     return v
 
 
-def _probe_into(p, z, v, out):
-    """out <- v * (H v) at ``z``; with ``z`` None, on a problem with
+def hutchinson_probe(p, z, v, out=None):
+    """Diagonal probe v * (H v) at the concatenated iterate ``z`` for a
+    given sign vector ``v`` over both blocks, written into ``out`` (a fresh
+    array by default).  With ``z`` None, on a problem with
     ``constant_hessian``, one probe per row of a block of signs ``v``."""
+    if out is None:
+        out = np.empty(v.shape)
     if z is None:
         P._hvp_rows_into(p, v, out)
     else:
@@ -214,26 +218,10 @@ def _probe_into(p, z, v, out):
     return out
 
 
-def hutchinson_probe(p, z, v):
-    """Diagonal probe v * (H v) at the concatenated iterate ``z`` for a
-    given sign vector ``v`` over both blocks."""
-    return _probe_into(p, z, v, np.empty(v.shape[0]))
-
-
 def curvature_hutchinson(p, z, rng_stream):
     """Rademacher diagonal estimate: draw v with i.i.d. +-1 entries from
     rng_stream, return v * (H v) (unbiased for the diagonal)."""
     return hutchinson_probe(p, z, _signs(rng_stream, p.d_x + p.d_y))
-
-
-def _hutchinson_into(state, p, z, rng_stream, out):
-    """Hutchinson curvature in the representation ``state.rule`` expects,
-    written into ``out``: one probe at ``z``, or with ``z`` None one probe
-    per row of a block (for a problem with ``constant_hessian``)."""
-    _probe_into(p, z, _signs(rng_stream, out.shape), out)
-    if state.rule == "squared-ema":
-        np.multiply(out, out, out=out)
-    return out
 
 
 def curvature_for(state, problem, z, g, rademacher_rng):
@@ -251,8 +239,9 @@ def curvature_for(state, problem, z, g, rademacher_rng):
         if state.rule != "squared-ema":
             np.sqrt(h, out=h)
     else:
-        h = _hutchinson_into(state, problem, z, rademacher_rng,
-                             np.empty(problem.d_x + problem.d_y))
+        h = curvature_hutchinson(problem, z, rademacher_rng)
+        if state.rule == "squared-ema":
+            np.multiply(h, h, out=h)
     if not P._all_finite(h):
         raise NonFiniteError("curvature entries must be finite")
     return h
@@ -338,7 +327,10 @@ def advance_block(state, problem, t, fired, rademacher_rng, raw, out):
         h = ema[1:]
         # an overflow shows as a non-finite row, reported at its own call
         with np.errstate(over="ignore", invalid="ignore"):
-            _hutchinson_into(state, problem, None, rademacher_rng, h)
+            hutchinson_probe(problem, None, _signs(rademacher_rng, h.shape),
+                             h)
+            if state.rule == "squared-ema":
+                np.multiply(h, h, out=h)
         finite = np.isfinite(h).all(axis=1)
         if not finite.all():
             k = int(np.argmin(finite))

@@ -34,6 +34,9 @@ from .errors import (
 )
 
 KINDS = ("quadratic", "bilinear", "minty-example")
+# the arrays each kind's field reads
+_NEEDS = {"quadratic": ("A", "B", "C", "a", "c"), "bilinear": ("B",),
+          "minty-example": ()}
 
 MINTY_BLOCK_ROWS = 64  # grid rows per block in verify_minty
 
@@ -133,17 +136,31 @@ class SaddleProblem:
             if not 0 <= getattr(self, name) < math.inf:
                 raise InvalidParameterError(
                     f"{name} must be non-negative and finite")
-        for name in ("A", "B", "C", "BT"):
+        for name in _NEEDS[self.kind]:
+            if getattr(self, name) is None:
+                raise InvalidParameterError(
+                    f"a {self.kind} problem needs {name}")
+        dx, dy = self.d_x, self.d_y
+        for name, shape in (("A", (dx, dx)), ("B", (dx, dy)),
+                            ("C", (dy, dy)), ("BT", (dy, dx)),
+                            ("a", (dx,)), ("c", (dy,))):
             m = getattr(self, name)
-            if m is not None:
+            if m is None:
+                continue
+            if name in ("a", "c"):
+                m = _as_vector(m, name).copy()
+            else:
                 m = np.ascontiguousarray(np.asarray(m, dtype=np.float64))
-                object.__setattr__(self, name, _freeze(m))
+            if m.shape != shape:
+                raise DimensionMismatchError(
+                    f"{name} has shape {m.shape}, not {shape}")
+            object.__setattr__(self, name, _freeze(m))
         if self.B is not None and self.BT is None:
             object.__setattr__(self, "BT", _freeze(self.B.T.copy()))
-        for name in ("a", "c"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, _freeze(_as_vector(v, name).copy()))
+        z = self.z_star
+        if z is not None and (z.d_x, z.d_y) != (dx, dy):
+            raise DimensionMismatchError(
+                f"z_star has dimensions ({z.d_x}, {z.d_y}), not ({dx}, {dy})")
 
     @property
     def constant_hessian(self):

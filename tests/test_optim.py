@@ -457,8 +457,9 @@ def test_engine_matches_single_steps_across_blocks(method):
 
 @pytest.mark.parametrize("method", optim.METHODS)
 def test_engine_matches_single_steps_with_short_blocks(method):
-    # d = 100: blocks of 2**16 // 100 = 655 rows, so the chunk at 1000
-    # flushes mid-block and the blocks no longer line up with the chunks
+    # d = 100: blocks of at most 2**16 // 100 = 655 rows, so the second
+    # block is cut after 345 steps where the chunk ends at 1000, and the
+    # third ends at T
     dx = 50
     p = make_quadratic(dx, dx, mu=0.5, L=2.0, seed=6, sigma=0.3)
     T = 1100
@@ -598,24 +599,6 @@ def test_block_scaling_matches_single_steps_across_blocks(method):
         p, _engine_config(method, 2 * optim.STREAM_CHUNK + 37, scaling))
 
 
-@pytest.mark.parametrize("source", ["hutchinson", "grad-square"])
-@pytest.mark.parametrize("method", optim.METHODS)
-def test_scaling_rows_drawn_past_a_mid_block_emit(method, source):
-    # d = 100: blocks of 655 rows, so the 1000-record emit flushes 345 rows
-    # into the second block and the 310 schedule rows drawn past them move
-    # to the block's front (clipped diagonals and fire column for
-    # Hutchinson, the fire column alone for grad-square)
-    dx = 50
-    p = make_quadratic(dx, dx, mu=0.5, L=2.0, seed=6, sigma=0.3)
-    rows = optim._BLOCK_ENTRIES // (2 * dx)
-    T = 1100
-    assert rows < optim.STREAM_CHUNK < 2 * rows and T > optim.STREAM_CHUNK
-    scaling = ScalingState.create(
-        rule="additive-ema", source=source, schedule="constant-beta",
-        beta=0.999, floor_e=0.01, update_prob=0.3, d_x=dx, d_y=dx)
-    assert_run_matches_steps(p, _engine_config(method, T, scaling, seed=12))
-
-
 class _CountingStream:
     """A generator that records the number of uniforms each call draws."""
 
@@ -626,6 +609,47 @@ class _CountingStream:
     def random(self, size=None):
         self.sizes.append(int(np.prod(size)) if size is not None else 1)
         return self.gen.random(size)
+
+
+def _count_scaling_draws(monkeypatch):
+    """Make the next runs' skip and probe streams count their draws; the
+    returned dict holds the last run's two ``_CountingStream``s."""
+    from_seed = RunStreams.from_seed
+    seen = {}
+
+    def counting(seed):
+        streams = from_seed(seed)
+        seen["skip"] = _CountingStream(streams.precond_skip)
+        seen["probes"] = _CountingStream(streams.rademacher)
+        return dataclasses.replace(streams, precond_skip=seen["skip"],
+                                   rademacher=seen["probes"])
+
+    monkeypatch.setattr(RunStreams, "from_seed", staticmethod(counting))
+    return seen
+
+
+@pytest.mark.parametrize("source", ["hutchinson", "grad-square"])
+@pytest.mark.parametrize("method", optim.METHODS)
+def test_scaling_blocks_are_cut_at_the_chunk_end(monkeypatch, method,
+                                                 source):
+    # d = 100: blocks of at most 655 rows, so the second block is cut after
+    # 345 steps where the 1000-record chunk ends, and the third ends at T;
+    # each block draws its skip uniforms (and for Hutchinson its clipped
+    # diagonals) at its start
+    dx = 50
+    p = make_quadratic(dx, dx, mu=0.5, L=2.0, seed=6, sigma=0.3)
+    rows = optim._BLOCK_ENTRIES // (2 * dx)
+    T = 1100
+    assert rows < optim.STREAM_CHUNK < 2 * rows and T > optim.STREAM_CHUNK
+    scaling = ScalingState.create(
+        rule="additive-ema", source=source, schedule="constant-beta",
+        beta=0.999, floor_e=0.01, update_prob=0.3, d_x=dx, d_y=dx)
+    cfg = _engine_config(method, T, scaling, seed=12)
+    with monkeypatch.context() as patch:
+        seen = _count_scaling_draws(patch)
+        run(p, cfg)
+    assert seen["skip"].sizes == [655, 345, 100]
+    assert_run_matches_steps(p, cfg)
 
 
 @pytest.mark.parametrize("preset, schedule, T, skips", [
@@ -641,17 +665,7 @@ def test_run_draws_only_the_schedule_it_uses(monkeypatch, method, preset,
     # one skip uniform per step when p < 1, drawn a block (at most
     # min(STREAM_CHUNK, T) rows at d = 5) at a time, and one probe row of
     # d signs per fired Hutchinson update, in one draw per block
-    from_seed = RunStreams.from_seed
-    seen = {}
-
-    def counting(seed):
-        streams = from_seed(seed)
-        seen["skip"] = _CountingStream(streams.precond_skip)
-        seen["probes"] = _CountingStream(streams.rademacher)
-        return dataclasses.replace(streams, precond_skip=seen["skip"],
-                                   rademacher=seen["probes"])
-
-    monkeypatch.setattr(RunStreams, "from_seed", staticmethod(counting))
+    seen = _count_scaling_draws(monkeypatch)
     p = make_quadratic(3, 2, mu=0.5, L=2.0, seed=5, sigma=0.3)
     scaling = scaling_preset(preset, 3, 2, **schedule)
     traj = run(p, _engine_config(method, T, scaling))

@@ -160,6 +160,42 @@ def test_quadratic_parameter_validation():
                                    mu=np.inf, L=1.0), "mu")):
         with pytest.raises(InvalidParameterError, match=f"^{name} must"):
             build()
+    # the arrays the field reads must be there, at the problem's dimensions
+    q = make_quadratic(2, 2, 0.5, 1.0, seed=0)
+    zero = PointPair(np.zeros(2), np.zeros(2))
+    arrays = dict(A=q.A, B=q.B, C=q.C, a=q.a, c=q.c, z_star=zero)
+
+    def quadratic(**changed):
+        return SaddleProblem(kind="quadratic", d_x=2, d_y=2, mu=1.0, L=1.0,
+                             **{**arrays, **changed})
+
+    def bilinear(**kw):
+        return SaddleProblem(kind="bilinear", d_x=2, d_y=2, mu=0.0, L=1.0,
+                             **kw)
+
+    for build, error, match in (
+            (lambda: SaddleProblem(kind="quadratic", d_x=2, d_y=2, mu=1.0,
+                                   L=1.0, z_star=zero),
+             InvalidParameterError, "quadratic problem needs A"),
+            (lambda: quadratic(c=None), InvalidParameterError,
+             "quadratic problem needs c"),
+            (lambda: bilinear(z_star=zero), InvalidParameterError,
+             "bilinear problem needs B"),
+            (lambda: bilinear(B=np.eye(3)), DimensionMismatchError,
+             r"^B has shape \(3, 3\)"),
+            (lambda: quadratic(B=np.ones((2, 3))), DimensionMismatchError,
+             "^B has shape"),
+            (lambda: quadratic(C=np.eye(3)), DimensionMismatchError,
+             "^C has shape"),
+            (lambda: quadratic(a=np.zeros(3)), DimensionMismatchError,
+             r"^a has shape \(3,\)"),
+            (lambda: bilinear(B=np.eye(2),
+                              z_star=PointPair(np.zeros(2), np.zeros(3))),
+             DimensionMismatchError, "^z_star has dimensions"),
+            (lambda: quadratic(z_star=PointPair(np.zeros(1), np.zeros(2))),
+             DimensionMismatchError, "^z_star has dimensions")):
+        with pytest.raises(error, match=match):
+            build()
 
 
 def test_quadratic_certificates():

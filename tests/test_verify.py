@@ -149,6 +149,7 @@ def test_a_diverging_check_fails_and_the_slate_goes_on(diverging_rate_check):
     results = verify.run_all(only=NAMES, seed=42)
     assert [r.name for r in results] == NAMES
     assert [r.passed for r in results] == [True, False, True]
+    assert [r.timing for r in results] == ["", "", ""]
     measured = results[1].measured
     assert re.fullmatch(r"DivergenceError: iterate norm passed 1e\+12 at "
                         r"iteration \d+", measured), measured
@@ -163,3 +164,18 @@ def test_verify_prints_the_diverged_row_and_exits_one(diverging_rate_check,
     assert "measured DivergenceError: iterate norm passed" in lines[4]
     assert json.loads(lines[-1]) == {"checks": 3,
                                      "failures": ["monotone-average-rate"]}
+
+
+# ---------------------------------------------------------------------------
+# wall-clock figures
+
+
+def test_call_accounting_times_leave_measured(capsys):
+    # the counts are what a seed fixes; the per-iteration times and their
+    # ratio differ from run to run and print after the seconds
+    assert bench.cmd_verify(["call-accounting"], 42) in (0, 1)
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(
+        r" +measured calls eg=2000 sc=1001; bound 2000 / 1001 and ratio "
+        r"< 0\.65; \d+\.\d\ds; per-iter \d+us vs \d+us, ratio=\d+\.\d{3}",
+        lines[2]), lines[2]
