@@ -33,8 +33,11 @@ def test_criterion(num, name, cap):
     result = run_check(name)
     on_time = cap is None or result.seconds < cap
     verdict = "PASS" if result.passed and on_time else "FAIL"
+    timing = f"; {result.timing}" if result.timing else ""
     print(f"criterion {num:02d} {name}: {verdict} "
-          f"[{result.measured}; bound {result.bound}; {result.seconds:.2f}s]")
-    assert result.passed, f"{name}: {result.measured} (bound {result.bound})"
+          f"[{result.measured}; bound {result.bound}; {result.seconds:.2f}s"
+          f"{timing}]")
+    assert result.passed, (f"{name}: {result.measured}{timing} "
+                           f"(bound {result.bound})")
     if cap is not None:
         assert on_time, f"{name} took {result.seconds:.2f}s (cap {cap:g}s)"
